@@ -3,12 +3,11 @@
 //!
 //! Two sweeps over one Zipf stream:
 //!
-//! * **Ingest throughput** — in-memory baseline vs the file backend under
-//!   `Durability::Strict` (write-ahead log drained per commit through the group-commit
-//!   coordinator, one cadence `fdatasync` per window) vs `Durability::Buffered`
-//!   (batched log drains, background flusher thread).  The cache is sized *below* the
-//!   room region, so page eviction and the flusher show up in the reported numbers.
-//! * **Recovery time vs WAL length** — Strict file sketches abandoned (crash-simulated)
+//! * **Ingest throughput** — in-memory baseline vs the file backend (write-ahead log
+//!   drained per commit through the group-commit coordinator, one cadence `fdatasync`
+//!   per window).  The cache is sized *below* the room region, so page eviction and
+//!   write-back show up in the reported numbers.
+//! * **Recovery time vs WAL length** — file sketches abandoned (crash-simulated)
 //!   at growing stream prefixes, then reopened through write-ahead-log replay; reports
 //!   the log length and the wall-clock cost of `GssSketch::open_file`, plus the clean
 //!   open time as the no-replay baseline.
@@ -16,7 +15,7 @@
 //! Results are printed as a table and written as `BENCH_durability.json` at the
 //! workspace root via [`gss_experiments::BenchReport`].
 
-use gss_core::{Durability, GssConfig, GssSketch, StorageBackend};
+use gss_core::{GssConfig, GssSketch, StorageBackend};
 use gss_datasets::{Xoshiro256, ZipfSampler};
 use gss_experiments::{fmt_float, BenchReport, ExperimentScale, Table};
 use gss_graph::{StreamEdge, SummaryWrite};
@@ -66,26 +65,17 @@ fn ingest(sketch: &mut GssSketch, items: &[StreamEdge]) -> f64 {
     start.elapsed().as_secs_f64()
 }
 
-fn file_sketch(
-    config: GssConfig,
-    path: &Path,
-    cache_pages: usize,
-    durability: Durability,
-) -> GssSketch {
-    GssSketch::with_storage_durability(
-        config,
-        StorageBackend::File { path: path.to_path_buf(), cache_pages },
-        durability,
-    )
-    .expect("sketch file creatable in the temp dir")
+fn file_sketch(config: GssConfig, path: &Path, cache_pages: usize) -> GssSketch {
+    GssSketch::with_storage(config, StorageBackend::File { path: path.to_path_buf(), cache_pages })
+        .expect("sketch file creatable in the temp dir")
 }
 
 fn main() {
     let scale = gss_bench::bench_scale("durability_cost");
     let items = zipf_stream(stream_items(scale), 60_000, 0xD04A_B1E5);
     let config = GssConfig::paper_default(matrix_width(scale));
-    // Cap the cache below the room region so eviction and the background flusher are
-    // actually exercised: with the whole matrix resident (smoke scale used to fit in
+    // Cap the cache below the room region so eviction and write-back are actually
+    // exercised: with the whole matrix resident (smoke scale used to fit in
     // `file_cache_pages()`), every run reported `pages_flushed: 0` and the "write-back"
     // cost it claimed to measure never happened.
     let room_pages = (config.width * config.width * config.rooms * gss_core::ROOM_RECORD_BYTES)
@@ -109,20 +99,20 @@ fn main() {
         .context("cache_pages", cache_pages)
         .context("batch", BATCH);
 
-    // Ingest throughput: memory vs Strict vs Buffered over the same stream.
+    // Ingest throughput: memory vs file over the same stream.
     let mut memory_sketch = GssSketch::new(config).expect("valid config");
     let memory_seconds = ingest(&mut memory_sketch, &items);
     drop(memory_sketch);
-    for (name, durability) in [("strict", Durability::Strict), ("buffered", Durability::Buffered)] {
-        let path = temp_path(&format!("ingest-{name}.gss"));
-        let mut sketch = file_sketch(config, &path, cache_pages, durability);
+    {
+        let path = temp_path("ingest-strict.gss");
+        let mut sketch = file_sketch(config, &path, cache_pages);
         let seconds = ingest(&mut sketch, &items);
         let stats = sketch.detailed_stats();
         drop(sketch);
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(gss_core::wal::wal_path(&path)).ok();
         table.push_row(vec![
-            format!("ingest file ({name})"),
+            "ingest file (strict)".into(),
             fmt_float(seconds),
             format!(
                 "{} Mitems/s, {} wal flushes, {} pages flushed, \
@@ -143,7 +133,7 @@ fn main() {
         // stay zero here: a bench run with injected faults or a poisoned store is not
         // measuring ingest cost, and any nonzero retry count on healthy I/O is news.
         report.push(
-            format!("ingest_file_{name}"),
+            "ingest_file_strict",
             &[
                 ("seconds", seconds),
                 ("mitems_per_sec", mitems(items.len(), seconds)),
@@ -168,12 +158,12 @@ fn main() {
         &[("seconds", memory_seconds), ("mitems_per_sec", mitems(items.len(), memory_seconds))],
     );
 
-    // Recovery time vs WAL length: abandon (crash-simulate) Strict sketches at growing
+    // Recovery time vs WAL length: abandon (crash-simulate) file sketches at growing
     // prefixes and time the write-ahead-log replay on reopen.
     for percent in [25usize, 50, 100] {
         let count = (items.len() * percent / 100).max(BATCH);
         let path = temp_path(&format!("recover-{percent}.gss"));
-        let mut sketch = file_sketch(config, &path, cache_pages, Durability::Strict);
+        let mut sketch = file_sketch(config, &path, cache_pages);
         ingest(&mut sketch, &items[..count]);
         let wal_bytes = sketch.detailed_stats().wal_bytes;
         sketch.abandon();
@@ -198,7 +188,7 @@ fn main() {
     // Clean-open baseline: the same file checkpointed properly, no replay needed.
     {
         let path = temp_path("clean-open.gss");
-        let mut sketch = file_sketch(config, &path, cache_pages, Durability::Strict);
+        let mut sketch = file_sketch(config, &path, cache_pages);
         ingest(&mut sketch, &items);
         sketch.sync().expect("checkpoint");
         drop(sketch);

@@ -38,7 +38,6 @@ use std::path::PathBuf;
 pub struct GssBuilder {
     config: GssConfig,
     storage: StorageBackend,
-    durability: Durability,
     wal_checkpoint_bytes: u64,
     group_commit: GroupCommit,
 }
@@ -55,7 +54,6 @@ impl GssBuilder {
         Self {
             config: GssConfig::default(),
             storage: StorageBackend::Memory,
-            durability: Durability::Strict,
             wal_checkpoint_bytes: crate::config::WAL_CHECKPOINT_BYTES,
             group_commit: GroupCommit::default(),
         }
@@ -146,13 +144,9 @@ impl GssBuilder {
         self.storage_file(dir.into().join(format!("{name}.gss")))
     }
 
-    /// Durability policy of a file-backed sketch (default [`Durability::Strict`]):
-    /// `Strict` drains the write-ahead log and writes evicted pages back synchronously
-    /// on the ingest path (zero acknowledged-item loss under `SIGKILL`); `Buffered`
-    /// batches log drains and moves page write-back onto a background flusher thread
-    /// (bounded loss window, faster ingest).  Ignored by the in-memory backend.
-    pub fn durability(mut self, durability: Durability) -> Self {
-        self.durability = durability;
+    /// A no-op: [`Durability`] has the single value `Strict`.  Kept because the
+    /// `gssbench` harness calls it.
+    pub fn durability(self, _durability: Durability) -> Self {
         self
     }
 
@@ -166,7 +160,7 @@ impl GssBuilder {
     }
 
     /// Scheduling knob of the write-ahead log's group-commit coordinator (default
-    /// [`GroupCommit::default`]: sync every 256 KiB of drained log or 2 ms, whichever
+    /// [`GroupCommit::default`]: sync every 256 KiB of drained log or 20 ms, whichever
     /// comes first).  A sharded build shares one coordinator across all shard logs, so
     /// a single cadence `fdatasync` covers every shard that wrote in the window.
     /// Zero in either field forces a sync on every drain round.  Ignored by the
@@ -187,10 +181,9 @@ impl GssBuilder {
     /// Returns a [`ConfigError`] describing the first invalid knob, or carrying the I/O
     /// failure if a sketch file cannot be created.
     pub fn build(self) -> Result<GssSketch, ConfigError> {
-        let mut sketch = GssSketch::with_storage_durability_grouped(
+        let mut sketch = GssSketch::with_storage_grouped(
             self.config,
             self.storage,
-            self.durability,
             GroupCommitter::new(self.group_commit),
         )?;
         sketch.set_wal_checkpoint_bytes(self.wal_checkpoint_bytes);
@@ -205,13 +198,7 @@ impl GssBuilder {
     /// Returns a [`ConfigError`] if the configuration is invalid, `shards == 0`, or a
     /// shard file cannot be created.
     pub fn build_sharded(self, shards: usize) -> Result<ShardedGss, ConfigError> {
-        ShardedGss::with_storage_durability_grouped(
-            self.config,
-            shards,
-            &self.storage,
-            self.durability,
-            self.group_commit,
-        )
+        ShardedGss::with_storage_grouped(self.config, shards, &self.storage, self.group_commit)
     }
 
     /// Like [`build_sharded`](Self::build_sharded), but holds **total** matrix memory at
@@ -222,11 +209,10 @@ impl GssBuilder {
     /// Returns a [`ConfigError`] if the configuration is invalid, `shards == 0`, or a
     /// shard file cannot be created.
     pub fn build_sharded_equal_memory(self, shards: usize) -> Result<ShardedGss, ConfigError> {
-        ShardedGss::with_storage_equal_memory_durability_grouped(
+        ShardedGss::with_storage_equal_memory_grouped(
             self.config,
             shards,
             &self.storage,
-            self.durability,
             self.group_commit,
         )
     }

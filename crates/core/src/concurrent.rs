@@ -1,10 +1,9 @@
 //! Sharded concurrent ingest: [`ShardedGss`].
 //!
 //! Graph streams are frequently consumed by several ingest threads (the paper's CAIDA use
-//! case is a multi-link packet capture).  The historical [`ConcurrentGss`] wrapper
-//! serialised all writers behind one `RwLock`; [`ShardedGss`] replaces it with `N`
-//! independent sketch shards behind per-shard locks, so writers touching different shards
-//! never contend.
+//! case is a multi-link packet capture).  [`ShardedGss`] runs `N` independent sketch
+//! shards behind per-shard locks, so writers touching different shards never contend
+//! (`N = 1` is a single sketch behind a single lock).
 //!
 //! ## Sharding semantics
 //!
@@ -46,18 +45,6 @@ use gss_graph::{StreamEdge, SummaryRead, SummaryStats, SummaryWrite, VertexId, W
 use parking_lot::RwLock;
 use std::sync::Arc;
 
-/// Deprecated single-lock wrapper, kept as a thin alias.
-///
-/// Migration: `ConcurrentGss::new(config)` becomes `ShardedGss::new(config, shards)` —
-/// `ShardedGss::new(config, 1)` reproduces the old single-lock behaviour exactly (one
-/// sketch, one lock), while `shards > 1` unlocks concurrent ingest.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ShardedGss` (`ShardedGss::new(config, 1)` \
-     reproduces the single-lock behaviour)"
-)]
-pub type ConcurrentGss = ShardedGss;
-
 /// A cloneable, thread-safe handle to a set of GSS sketch shards partitioned by source
 /// vertex (see the [module docs](self) for the sharding semantics).
 #[derive(Debug, Clone)]
@@ -92,42 +79,22 @@ impl ShardedGss {
         shards: usize,
         storage: &StorageBackend,
     ) -> Result<Self, ConfigError> {
-        Self::with_storage_durability(config, shards, storage, Durability::Strict)
+        Self::with_storage_grouped(config, shards, storage, GroupCommit::default())
     }
 
-    /// [`with_storage`](Self::with_storage) with an explicit [`Durability`] policy.  Each
+    /// [`with_storage`](Self::with_storage) with an explicit group-commit knob.  Each
     /// file-backed shard owns its own write-ahead log (`<name>.shardN.wal`) alongside its
-    /// sketch file, so shards recover independently after a crash.
+    /// sketch file, so shards recover independently after a crash.  All shard logs
+    /// register with **one** coordinator, so a single cadence `fdatasync` covers every
+    /// shard that wrote since the last one — N writer threads share one fsync schedule
+    /// instead of paying one each.
     ///
     /// # Errors
     /// As [`with_storage`](Self::with_storage).
-    pub fn with_storage_durability(
+    pub fn with_storage_grouped(
         config: GssConfig,
         shards: usize,
         storage: &StorageBackend,
-        durability: Durability,
-    ) -> Result<Self, ConfigError> {
-        Self::with_storage_durability_grouped(
-            config,
-            shards,
-            storage,
-            durability,
-            GroupCommit::default(),
-        )
-    }
-
-    /// [`with_storage_durability`](Self::with_storage_durability) with an explicit
-    /// group-commit knob.  All shard logs register with **one** coordinator, so a single
-    /// cadence `fdatasync` covers every shard that wrote since the last one — N writer
-    /// threads share one fsync schedule instead of paying one each.
-    ///
-    /// # Errors
-    /// As [`with_storage`](Self::with_storage).
-    pub fn with_storage_durability_grouped(
-        config: GssConfig,
-        shards: usize,
-        storage: &StorageBackend,
-        durability: Durability,
         group_commit: GroupCommit,
     ) -> Result<Self, ConfigError> {
         if shards == 0 {
@@ -136,10 +103,9 @@ impl ShardedGss {
         let group = GroupCommitter::new(group_commit);
         let shards = (0..shards)
             .map(|index| {
-                GssSketch::with_storage_durability_grouped(
+                GssSketch::with_storage_grouped(
                     config,
                     storage.for_shard(index),
-                    durability,
                     Arc::clone(&group),
                 )
             })
@@ -155,7 +121,8 @@ impl ShardedGss {
     /// shard recovering independently through its own write-ahead log — this is the
     /// restart path of a long-lived service (`gss-server` reopens every tenant this
     /// way).  All shard logs register with one fresh group-commit coordinator built
-    /// from `group_commit`.
+    /// from `group_commit`.  `durability` has one value and is ignored; the parameter
+    /// stays because the `gssbench` harness passes it.
     ///
     /// # Errors
     /// Returns a [`PersistenceError`](crate::PersistenceError) if `shards == 0`, any shard file is missing or
@@ -165,7 +132,7 @@ impl ShardedGss {
         base: impl AsRef<std::path::Path>,
         shards: usize,
         cache_pages: usize,
-        durability: Durability,
+        _durability: Durability,
         group_commit: GroupCommit,
     ) -> Result<Self, crate::persistence::PersistenceError> {
         use crate::persistence::PersistenceError;
@@ -179,12 +146,7 @@ impl ShardedGss {
                 let StorageBackend::File { path, cache_pages } = backend.for_shard(index) else {
                     unreachable!("file backend shards stay file-backed");
                 };
-                GssSketch::open_file_durability_grouped(
-                    path,
-                    cache_pages,
-                    durability,
-                    Arc::clone(&group),
-                )
+                GssSketch::open_file_grouped(path, cache_pages, Arc::clone(&group))
             })
             .collect::<Result<Vec<_>, _>>()?;
         let config = *opened[0].config();
@@ -253,46 +215,22 @@ impl ShardedGss {
         shards: usize,
         storage: &StorageBackend,
     ) -> Result<Self, ConfigError> {
-        Self::with_storage_equal_memory_durability(config, shards, storage, Durability::Strict)
+        Self::with_storage_equal_memory_grouped(config, shards, storage, GroupCommit::default())
     }
 
     /// [`with_storage_equal_memory`](Self::with_storage_equal_memory) with an explicit
-    /// [`Durability`] policy: the single place where the equal-memory width rule meets
-    /// shard construction.
-    ///
-    /// # Errors
-    /// Returns a [`ConfigError`] if the configuration is invalid, `shards == 0`, or a
-    /// shard file cannot be created.
-    pub fn with_storage_equal_memory_durability(
-        config: GssConfig,
-        shards: usize,
-        storage: &StorageBackend,
-        durability: Durability,
-    ) -> Result<Self, ConfigError> {
-        Self::with_storage_equal_memory_durability_grouped(
-            config,
-            shards,
-            storage,
-            durability,
-            GroupCommit::default(),
-        )
-    }
-
-    /// [`with_storage_equal_memory_durability`](Self::with_storage_equal_memory_durability)
-    /// with an explicit group-commit knob (see
-    /// [`with_storage_durability_grouped`](Self::with_storage_durability_grouped)).
+    /// group-commit knob (see [`with_storage_grouped`](Self::with_storage_grouped)).
     ///
     /// # Errors
     /// As [`with_storage`](Self::with_storage).
-    pub fn with_storage_equal_memory_durability_grouped(
+    pub fn with_storage_equal_memory_grouped(
         config: GssConfig,
         shards: usize,
         storage: &StorageBackend,
-        durability: Durability,
         group_commit: GroupCommit,
     ) -> Result<Self, ConfigError> {
         let per_shard = GssConfig { width: config.equal_memory_width(shards), ..config };
-        Self::with_storage_durability_grouped(per_shard, shards, storage, durability, group_commit)
+        Self::with_storage_grouped(per_shard, shards, storage, group_commit)
     }
 
     /// Builds a sharded sketch with one shard per available CPU (capped at 16).
@@ -575,9 +513,9 @@ impl ShardedGss {
         }
     }
 
-    /// Drops every shard with no checkpoint and no background-queue drain
-    /// ([`GssSketch::abandon`] per shard), leaving file-backed shard files exactly as a
-    /// process kill would — for crash tests over concurrent writers.
+    /// Drops every shard with no checkpoint ([`GssSketch::abandon`] per shard), leaving
+    /// file-backed shard files exactly as a process kill would — for crash tests over
+    /// concurrent writers.
     ///
     /// # Errors
     /// Returns `self` unchanged when other handles still exist (they could still write).
@@ -916,13 +854,5 @@ mod tests {
             .is_err());
         assert!(ShardedGss::open_sharded(&base, 2, 16, Durability::Strict, GroupCommit::default())
             .is_err());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_alias_still_resolves() {
-        let sketch: ConcurrentGss = ShardedGss::new(GssConfig::paper_default(16), 1).unwrap();
-        sketch.insert(1, 2, 1);
-        assert_eq!(sketch.edge_weight(1, 2), Some(1));
     }
 }

@@ -199,9 +199,9 @@ impl GssError {
 
 /// The sticky per-store poison state: flipped by the first failed fsync or
 /// unrecoverable write-back, never cleared for the store's lifetime (a clean reopen
-/// builds a fresh store with fresh health).  Shared by the store, its write-ahead-log
-/// membership and its background flusher, so a failure on any of the three paths
-/// fail-stops all writes at once while reads keep serving from cache.
+/// builds a fresh store with fresh health).  Shared by the store and its write-ahead-log
+/// membership, so a failure on either path fail-stops all writes at once while reads
+/// keep serving from cache.
 #[derive(Debug, Default)]
 pub struct StoreHealth {
     poisoned: AtomicBool,

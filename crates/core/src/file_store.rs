@@ -5,9 +5,8 @@
 //! of fixed-size little-endian room records ([`ROOM_RECORD_BYTES`] each, the same layout
 //! snapshots use) and serves reads/writes through the [`crate::pager`] module family —
 //! a lock-striped page cache of 4-KiB pages with per-page latches
-//! ([`crate::pager::page_cache`]), positioned I/O over one shared handle
-//! ([`crate::pager::page_file`]) and a background flusher draining dirty pages in
-//! elevator order with adjacent-page write coalescing ([`crate::pager::flusher`]).
+//! ([`crate::pager::page_cache`]) and positioned I/O over one shared handle
+//! ([`crate::pager::page_file`]).
 //! Std-only, no `mmap`, no platform dependencies beyond `pread`/`pwrite` on Unix.
 //!
 //! ## Concurrency
@@ -57,13 +56,11 @@
 //! unclean file with no log (e.g. a v1 file) still fails with
 //! [`PersistenceError::Corrupt`].
 //!
-//! The [`Durability`] knob picks the policy: `Strict` drains the log before every insert
-//! returns and writes evicted pages back synchronously (zero acknowledged-item loss);
-//! `Buffered` batches log drains ([`WAL_BUFFER_BYTES`]) and moves page write-back onto
-//! the background flusher thread (bounded queue, barriered by checkpoint and drop).
-//! Both route their drains through the group-commit coordinator, which additionally
-//! `fdatasync`s the log on the [`GroupCommit`] cadence — bounding how far a power loss
-//! (not just a process kill) can rewind the stream.
+//! The log drains before every insert returns and evicted pages are written back
+//! synchronously (zero acknowledged-item loss under a process kill).  Drains route
+//! through the group-commit coordinator, which additionally `fdatasync`s the log on the
+//! [`GroupCommit`] cadence — bounding how far a power loss (not just a process kill) can
+//! rewind the stream.
 //!
 //! Checkpoints are **incremental**: the buffer and node tail sections carry generation
 //! stamps, and a checkpoint rewrites only the sections whose generation moved (plus the
@@ -84,11 +81,10 @@
 //! path panic with a descriptive message — the trait is infallible by design because the
 //! in-memory backend is; construction, open and sync report errors properly.
 
-use crate::config::{Durability, GroupCommit, GssConfig, WAL_BUFFER_BYTES};
+use crate::config::{GroupCommit, GssConfig};
 use crate::error::{DurabilityReport, StoreFault, StoreHealth};
 use crate::group_commit::{GroupCommitter, WalMember, WalState};
 use crate::matrix::Room;
-use crate::pager::flusher::Flusher;
 use crate::pager::lock_file::LockFile;
 use crate::pager::page_cache::{PageCache, PageCursor, PageIo};
 use crate::pager::page_file::PageFile;
@@ -104,7 +100,7 @@ use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 pub use crate::pager::{PageCacheStats, PAGE_BYTES};
@@ -219,11 +215,9 @@ pub struct DurabilityStats {
     pub wal_flushes: u64,
     /// Dirty pages written back on the foreground (eviction/checkpoint) path.
     pub pages_written: u64,
-    /// Dirty pages written back by the background flusher thread.
+    /// Always 0: kept because the `gssbench` harness reads it (page write-back is
+    /// synchronous, counted in `pages_written`).
     pub pages_written_background: u64,
-    /// Positioned writes the background flusher issued; less than
-    /// `pages_written_background` when adjacent pages were coalesced into one write.
-    pub background_write_batches: u64,
     /// Tail-section bytes rewritten by checkpoints (incremental checkpoints keep this
     /// far below `checkpoints × tail size`).
     pub tail_bytes_written: u64,
@@ -250,35 +244,30 @@ pub struct DurabilityStats {
 
 /// The deferred half of a two-phase commit: [`FileStore::try_log_commit_deferred`] appends
 /// the commit frame and returns this token; [`FileStore::ack_commit`] consumes it to
-/// apply the durability policy.  Multi-shard batches append every shard's frame before
-/// acknowledging any of them, so concurrent drain rounds cover each other's bytes.
+/// drain the log through the commit.  Multi-shard batches append every shard's frame
+/// before acknowledging any of them, so concurrent drain rounds cover each other's bytes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WalAck {
     /// Log bytes that must be drained before the commit is acknowledged.
     target: u64,
-    /// Pending (undrained) log bytes at append time — decides whether a
-    /// [`Durability::Buffered`] store drains early.
-    pending: usize,
     /// Cumulative stream items the commit frame covers — credited to the durability
     /// accounting ([`DurabilityReport`]) when the commit is acknowledged.
     items: u64,
 }
 
-/// A lock-free acknowledger for one store's deferred commits: the durability policy plus
-/// `Arc`s to the group-commit coordinator and the store's log membership — everything
-/// [`FileStore::ack_commit`] touches, none of it behind the sketch lock.  The sharded
-/// batch path captures one per shard at construction so its acknowledgement pass never
-/// re-takes a shard lock.
+/// A lock-free acknowledger for one store's deferred commits: `Arc`s to the group-commit
+/// coordinator and the store's log membership — everything [`FileStore::ack_commit`]
+/// touches, none of it behind the sketch lock.  The sharded batch path captures one per
+/// shard at construction so its acknowledgement pass never re-takes a shard lock.
 #[derive(Clone)]
 pub(crate) struct WalAckHandle {
-    durability: Durability,
     group: Arc<GroupCommitter>,
     wal: Arc<WalMember>,
 }
 
 impl std::fmt::Debug for WalAckHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WalAckHandle").field("durability", &self.durability).finish_non_exhaustive()
+        f.debug_struct("WalAckHandle").finish_non_exhaustive()
     }
 }
 
@@ -295,13 +284,9 @@ impl WalAckHandle {
     /// credited to the durability accounting.
     pub(crate) fn try_ack(&self, ack: WalAck) -> Result<(), StoreFault> {
         self.wal.health().check()?;
-        if self.durability == Durability::Strict || ack.pending >= WAL_BUFFER_BYTES {
-            self.group.commit(&self.wal, ack.target).map_err(|error| {
-                self.wal
-                    .health()
-                    .poison(StoreFault::from_io("write-ahead-log group commit", &error))
-            })?;
-        }
+        self.group.commit(&self.wal, ack.target).map_err(|error| {
+            self.wal.health().poison(StoreFault::from_io("write-ahead-log group commit", &error))
+        })?;
         self.wal.record_ack(ack.items);
         Ok(())
     }
@@ -319,16 +304,15 @@ struct SyncState {
 }
 
 /// A paged file-backed [`RoomStore`]: lock-striped page cache with per-page latches,
-/// write-ahead room log behind its own append mutex, elevator write-back flusher and
+/// write-ahead room log behind its own append mutex, synchronous write-back and
 /// incremental checkpoints.  Reads (`&self`) run concurrently; see the module docs.
 pub struct FileStore {
     path: PathBuf,
     width: usize,
     rooms_per_bucket: usize,
     cache_pages: usize,
-    durability: Durability,
-    /// Positioned I/O over the sketch file, shared with the background flusher.
-    file: Arc<PageFile>,
+    /// Positioned I/O over the sketch file.
+    file: PageFile,
     /// The lock-striped page table (see [`crate::pager::page_cache`]).
     cache: PageCache,
     /// Bucket-occupancy bitmaps with atomic words (never written to the file; rebuilt
@@ -337,9 +321,6 @@ pub struct FileStore {
     occupied_rooms: AtomicUsize,
     /// Dirty pages written back on the foreground path.
     pages_written: AtomicU64,
-    /// Set by [`FileStore::abandon`]: drop will not drain the background queue, leaving
-    /// the file exactly as a `SIGKILL` would.
-    abandoned: AtomicBool,
     /// The write-ahead room log, clean flag and drain arenas (see [`crate::wal`] and
     /// [`crate::group_commit`]).  Its append mutex is never held while taking a
     /// page-table stripe mutex.
@@ -352,12 +333,10 @@ pub struct FileStore {
     /// Taken only on the single-writer mutation path, never by readers.
     write_cursor: Mutex<PageCursor>,
     sync_state: Mutex<SyncState>,
-    /// Background write-back thread ([`Durability::Buffered`] only).
-    flusher: Option<Flusher>,
-    /// Sticky fail-stop state, shared with the write-ahead-log membership and the
-    /// background flusher: the first failed fsync or unrecoverable write-back poisons
-    /// it, after which every fallible write path returns the original cause while
-    /// reads keep serving from cache (see [`crate::error::StoreHealth`]).
+    /// Sticky fail-stop state, shared with the write-ahead-log membership: the first
+    /// failed fsync or unrecoverable write-back poisons it, after which every fallible
+    /// write path returns the original cause while reads keep serving from cache (see
+    /// [`crate::error::StoreHealth`]).
     health: Arc<StoreHealth>,
     /// Advisory single-opener lock; released (sidecar removed) when the store drops.
     _lock: LockFile,
@@ -370,41 +349,25 @@ impl std::fmt::Debug for FileStore {
             .field("width", &self.width)
             .field("rooms_per_bucket", &self.rooms_per_bucket)
             .field("cache_pages", &self.cache_pages)
-            .field("durability", &self.durability)
             .finish_non_exhaustive()
     }
 }
 
-/// How the page cache reaches the file: faults read through the flusher's steal-back
-/// path, evictions pass the write-ahead barrier and then go to the file (strict) or the
-/// background queue (buffered).
+/// How the page cache reaches the file: faults read the page image, evictions pass the
+/// write-ahead barrier and then write the page in place.
 impl PageIo for FileStore {
-    fn load_page(&self, index: u64, into: &mut [u8; PAGE_BYTES]) -> io::Result<bool> {
-        // A page sitting in the background queue has not reached the file yet: take it
-        // back (still dirty) instead of reading stale bytes.
-        if let Some(flusher) = &self.flusher {
-            if let Some(data) = flusher.steal(index)? {
-                into.copy_from_slice(&data[..]);
-                return Ok(true);
-            }
-        }
-        self.file.read_exact_at(&mut into[..], page_offset(index))?;
-        Ok(false)
+    fn load_page(&self, index: u64, into: &mut [u8; PAGE_BYTES]) -> io::Result<()> {
+        self.file.read_exact_at(&mut into[..], page_offset(index))
     }
 
     fn write_back(&self, index: u64, data: &[u8; PAGE_BYTES]) -> io::Result<()> {
         // Write-ahead barrier: frames covering this page must be durable before the
         // page itself is.
         self.drain_wal()?;
-        match &self.flusher {
-            Some(flusher) => flusher.enqueue(index, Box::new(*data)),
-            None => {
-                self.file.write_all_at(&data[..], page_offset(index))?;
-                self.pages_written.fetch_add(1, Ordering::Relaxed);
-                self.fire(FlushPoint::PageWriteBack);
-                Ok(())
-            }
-        }
+        self.file.write_all_at(&data[..], page_offset(index))?;
+        self.pages_written.fetch_add(1, Ordering::Relaxed);
+        self.fire(FlushPoint::PageWriteBack);
+        Ok(())
     }
 }
 
@@ -412,37 +375,20 @@ impl FileStore {
     /// Default page-cache capacity: 1024 pages = 4 MiB of resident room records.
     pub const DEFAULT_CACHE_PAGES: usize = 1024;
 
-    /// Creates a fresh sketch file at `path` with [`Durability::Strict`] (truncating any
-    /// existing file): header with `config`, a zeroed page-aligned room region sized by
-    /// `set_len`, no tail, an empty write-ahead log at `<path>.wal`.
+    /// Creates a fresh sketch file at `path` (truncating any existing file): header with
+    /// `config`, a zeroed page-aligned room region sized by `set_len`, no tail, an empty
+    /// write-ahead log at `<path>.wal`, and a private group-commit coordinator with the
+    /// default [`GroupCommit`] cadence.
     pub fn create(path: &Path, config: &GssConfig, cache_pages: usize) -> io::Result<Self> {
-        Self::create_durable(path, config, cache_pages, Durability::Strict)
+        Self::create_grouped(path, config, cache_pages, GroupCommitter::new(GroupCommit::default()))
     }
 
-    /// [`create`](Self::create) with an explicit durability policy (private group-commit
-    /// coordinator with the default [`GroupCommit`] cadence).
-    pub fn create_durable(
+    /// [`create`](Self::create) registering the new store's log with a shared
+    /// group-commit coordinator (sharded stores pool their fsync scheduling).
+    pub fn create_grouped(
         path: &Path,
         config: &GssConfig,
         cache_pages: usize,
-        durability: Durability,
-    ) -> io::Result<Self> {
-        Self::create_durable_grouped(
-            path,
-            config,
-            cache_pages,
-            durability,
-            GroupCommitter::new(GroupCommit::default()),
-        )
-    }
-
-    /// [`create_durable`](Self::create_durable) registering the new store's log with a
-    /// shared group-commit coordinator (sharded stores pool their fsync scheduling).
-    pub fn create_durable_grouped(
-        path: &Path,
-        config: &GssConfig,
-        cache_pages: usize,
-        durability: Durability,
         group: Arc<GroupCommitter>,
     ) -> io::Result<Self> {
         // Claim the single-opener lock before truncating anything: a create aimed at a
@@ -483,12 +429,8 @@ impl FileStore {
             node_len: empty_section_len,
             node_crc: empty_crc,
         };
-        let file = Arc::new(PageFile::with_faults(file, crate::pager::faults::plan_for(path)));
+        let file = PageFile::with_faults(file, crate::pager::faults::plan_for(path));
         let health = Arc::new(StoreHealth::new());
-        let flusher = match durability {
-            Durability::Strict => None,
-            Durability::Buffered => Some(Flusher::spawn(Arc::clone(&file), Arc::clone(&health))?),
-        };
         let wal = WalMember::new(wal, true, Arc::clone(&health));
         group.register(&wal);
         Ok(Self {
@@ -496,57 +438,38 @@ impl FileStore {
             width,
             rooms_per_bucket,
             cache_pages: cache_pages.max(1),
-            durability,
             file,
             cache: PageCache::new(cache_pages),
             index: AtomicOccupancyIndex::new(width),
             occupied_rooms: AtomicUsize::new(0),
             pages_written: AtomicU64::new(0),
-            abandoned: AtomicBool::new(false),
             wal,
             group,
             write_cursor: Mutex::new(PageCursor::default()),
             sync_state: Mutex::new(SyncState { synced, tail_bytes_written: 0, checkpoints: 0 }),
-            flusher,
             health,
             _lock: lock,
         })
     }
 
-    /// Opens an existing sketch file in place with [`Durability::Strict`], validating the
-    /// header and reading the tail.  The room region is **streamed once** (sequential
-    /// reads, occupancy flags only, no per-room decode or insert pass) to rebuild the
-    /// in-memory occupancy index — open cost is one sequential pass over the file plus
-    /// the (usually tiny) tail.
+    /// Opens an existing sketch file in place, validating the header and reading the
+    /// tail, with a private group-commit coordinator at the default [`GroupCommit`]
+    /// cadence.  The room region is **streamed once** (sequential reads, occupancy flags
+    /// only, no per-room decode or insert pass) to rebuild the in-memory occupancy index
+    /// — open cost is one sequential pass over the file plus the (usually tiny) tail.
     ///
     /// An **unclean** v2 file (crash before the last checkpoint completed) is recovered
     /// by replaying its write-ahead log; see the module docs.  Unclean v1 files are still
     /// rejected as [`PersistenceError::Corrupt`] — they predate the log.
     pub fn open(path: &Path, cache_pages: usize) -> Result<(Self, FileHeader), PersistenceError> {
-        Self::open_durable(path, cache_pages, Durability::Strict)
+        Self::open_grouped(path, cache_pages, GroupCommitter::new(GroupCommit::default()))
     }
 
-    /// [`open`](Self::open) with an explicit durability policy for the reopened store
-    /// (private group-commit coordinator with the default [`GroupCommit`] cadence).
-    pub fn open_durable(
+    /// [`open`](Self::open) registering the reopened store's log with a shared
+    /// group-commit coordinator (sharded stores pool their fsync scheduling).
+    pub fn open_grouped(
         path: &Path,
         cache_pages: usize,
-        durability: Durability,
-    ) -> Result<(Self, FileHeader), PersistenceError> {
-        Self::open_durable_grouped(
-            path,
-            cache_pages,
-            durability,
-            GroupCommitter::new(GroupCommit::default()),
-        )
-    }
-
-    /// [`open_durable`](Self::open_durable) registering the reopened store's log with a
-    /// shared group-commit coordinator (sharded stores pool their fsync scheduling).
-    pub fn open_durable_grouped(
-        path: &Path,
-        cache_pages: usize,
-        durability: Durability,
         group: Arc<GroupCommitter>,
     ) -> Result<(Self, FileHeader), PersistenceError> {
         let lock = LockFile::acquire(path)?;
@@ -595,7 +518,6 @@ impl FileStore {
                 items_inserted,
                 synced,
                 cache_pages,
-                durability,
                 group,
                 lock,
             );
@@ -661,7 +583,6 @@ impl FileStore {
             path,
             &config,
             cache_pages,
-            durability,
             file,
             occupied as usize,
             true,
@@ -685,7 +606,6 @@ impl FileStore {
         header_items: u64,
         synced: SyncedTail,
         cache_pages: usize,
-        durability: Durability,
         group: Arc<GroupCommitter>,
         lock: LockFile,
     ) -> Result<(Self, FileHeader), PersistenceError> {
@@ -757,7 +677,6 @@ impl FileStore {
             path,
             &config,
             cache_pages,
-            durability,
             file,
             occupied,
             false,
@@ -794,7 +713,6 @@ impl FileStore {
         path: &Path,
         config: &GssConfig,
         cache_pages: usize,
-        durability: Durability,
         file: File,
         occupied_rooms: usize,
         clean: bool,
@@ -804,15 +722,8 @@ impl FileStore {
         group: Arc<GroupCommitter>,
         lock: LockFile,
     ) -> Result<Self, PersistenceError> {
-        let file = Arc::new(PageFile::with_faults(file, crate::pager::faults::plan_for(path)));
+        let file = PageFile::with_faults(file, crate::pager::faults::plan_for(path));
         let health = Arc::new(StoreHealth::new());
-        let flusher = match durability {
-            Durability::Strict => None,
-            Durability::Buffered => Some(
-                Flusher::spawn(Arc::clone(&file), Arc::clone(&health))
-                    .map_err(PersistenceError::from)?,
-            ),
-        };
         let wal = WalMember::new(wal, clean, Arc::clone(&health));
         group.register(&wal);
         Ok(Self {
@@ -820,18 +731,15 @@ impl FileStore {
             width: config.width,
             rooms_per_bucket: config.rooms,
             cache_pages: cache_pages.max(1),
-            durability,
             file,
             cache: PageCache::new(cache_pages),
             index,
             occupied_rooms: AtomicUsize::new(occupied_rooms),
             pages_written: AtomicU64::new(0),
-            abandoned: AtomicBool::new(false),
             wal,
             group,
             write_cursor: Mutex::new(PageCursor::default()),
             sync_state: Mutex::new(SyncState { synced, tail_bytes_written: 0, checkpoints: 0 }),
-            flusher,
             health,
             _lock: lock,
         })
@@ -879,22 +787,10 @@ impl FileStore {
         self.cache_pages
     }
 
-    /// The durability policy this store runs under.
-    pub fn durability(&self) -> Durability {
-        self.durability
-    }
-
     /// Installs (or clears) the durability-point observer used by kill-point tests.
     pub fn set_flush_hook(&self, hook: Option<FlushHook>) {
         let _hook_held = witness::acquire(LockClass::Hook);
         *self.wal.hook.lock() = hook;
-    }
-
-    /// Marks the store as crash-simulated: drop will neither drain the background queue
-    /// nor checkpoint, leaving the file exactly as a `SIGKILL` would.
-    pub fn abandon(&self) {
-        // relaxed: a lone flag read once at drop; no other memory depends on it.
-        self.abandoned.store(true, Ordering::Relaxed);
     }
 
     /// Byte offset where the tail begins (room region rounded up to whole pages).
@@ -981,20 +877,15 @@ impl FileStore {
     /// Runs `read` over one page's bytes: through the cache normally, degrading to an
     /// uncached image read once the store is poisoned.  A cache *miss* may have to
     /// evict a dirty page, and a poisoned store can no longer write anything back — so
-    /// instead of surfacing that dead end, misses bypass the cache entirely: newest
-    /// queued write-back bytes if still pending ([`Flusher::peek`]), else the file
-    /// image.  Cache hits (including dirty pages) keep serving either way, which is
-    /// the "reads keep serving from cache" half of the fail-stop contract.
+    /// instead of surfacing that dead end, misses bypass the cache entirely and read
+    /// the file image.  Cache hits (including dirty pages) keep serving either way,
+    /// which is the "reads keep serving from cache" half of the fail-stop contract.
     fn with_page<T>(&self, page_index: u64, read: impl FnOnce(&[u8]) -> T) -> io::Result<T> {
         match self.cache.lookup(page_index, self) {
             Ok(slot) => Ok(read(&self.cache.read(&slot)[..])),
             Err(_) if self.health.is_poisoned() => {
                 let mut buffer = [0u8; PAGE_BYTES];
-                if let Some(data) = self.flusher.as_ref().and_then(|f| f.peek(page_index)) {
-                    buffer.copy_from_slice(&data[..]);
-                } else {
-                    self.file.read_exact_at(&mut buffer[..], page_offset(page_index))?;
-                }
+                self.file.read_exact_at(&mut buffer[..], page_offset(page_index))?;
                 Ok(read(&buffer))
             }
             Err(error) => Err(error),
@@ -1159,23 +1050,21 @@ impl FileStore {
             // Unclean-before-drain: a drained log behind a still-clean header would be
             // discarded on reopen, losing the items this commit acknowledges.
             self.mark_unclean_locked(&mut wal)?;
-            Ok((wal.writer.bytes(), wal.writer.appended_bytes(), wal.writer.pending_bytes()))
+            Ok((wal.writer.bytes(), wal.writer.appended_bytes()))
         })();
         drop(wal);
         drop(wal_held);
-        let (bytes, target, pending) =
+        let (bytes, target) =
             result.map_err(|error: io::Error| self.poison_fault("unclean-flag write", &error))?;
         self.wal.record_commit(target, items);
-        Ok((bytes, WalAck { target, pending, items }))
+        Ok((bytes, WalAck { target, items }))
     }
 
     /// The acknowledgement half of a commit appended by
-    /// [`try_log_commit_deferred`](Self::try_log_commit_deferred): under [`Durability::Strict`]
-    /// the commit's frames are in the log file before this returns (the acknowledged
-    /// items are now crash-safe); under [`Durability::Buffered`] the drain waits until
-    /// the pending buffer exceeds [`WAL_BUFFER_BYTES`].  Both drain through the
-    /// group-commit coordinator — concurrent shard commits share one drain round and
-    /// one sync cadence.
+    /// [`try_log_commit_deferred`](Self::try_log_commit_deferred): the commit's frames
+    /// are in the log file before this returns (the acknowledged items are now
+    /// crash-safe).  The drain runs through the group-commit coordinator — concurrent
+    /// shard commits share one drain round and one sync cadence.
     pub(crate) fn ack_commit(&self, ack: WalAck) {
         let result = self.try_ack_commit(ack);
         self.io_fail(result.map_err(|fault| fault.to_io()));
@@ -1185,11 +1074,9 @@ impl FileStore {
     /// store's sticky [`StoreFault`]; on success the items are credited as acknowledged.
     pub(crate) fn try_ack_commit(&self, ack: WalAck) -> Result<(), StoreFault> {
         self.health.check()?;
-        if self.durability == Durability::Strict || ack.pending >= WAL_BUFFER_BYTES {
-            self.group
-                .commit(&self.wal, ack.target)
-                .map_err(|error| self.poison_fault("write-ahead-log group commit", &error))?;
-        }
+        self.group
+            .commit(&self.wal, ack.target)
+            .map_err(|error| self.poison_fault("write-ahead-log group commit", &error))?;
         self.wal.record_ack(ack.items);
         Ok(())
     }
@@ -1282,23 +1169,15 @@ impl FileStore {
     /// A [`WalAckHandle`] for this store — acknowledges deferred commits without the
     /// sketch lock held.
     pub(crate) fn ack_handle(&self) -> WalAckHandle {
-        WalAckHandle {
-            durability: self.durability,
-            group: Arc::clone(&self.group),
-            wal: Arc::clone(&self.wal),
-        }
+        WalAckHandle { group: Arc::clone(&self.group), wal: Arc::clone(&self.wal) }
     }
 
     /// Flushes every dirty page to the file (pages stay cached, now clean), draining the
-    /// write-ahead log and barriering the background flusher first.  Does **not**
-    /// checkpoint.
+    /// write-ahead log first.  Does **not** checkpoint.
     pub fn flush_pages(&self) -> io::Result<()> {
-        // Write-ahead barrier, then the background queue, then the cache's dirty pages
-        // in ascending page order (a sequentially-filled matrix flushes sequentially).
+        // Write-ahead barrier, then the cache's dirty pages in ascending page order (a
+        // sequentially-filled matrix flushes sequentially).
         self.drain_wal()?;
-        if let Some(flusher) = &self.flusher {
-            flusher.barrier()?;
-        }
         let dirty = self.cache.dirty_slots();
         let wrote = !dirty.is_empty();
         for slot in &dirty {
@@ -1334,8 +1213,7 @@ impl FileStore {
             wal_bytes,
             wal_flushes,
             pages_written: self.pages_written.load(Ordering::Relaxed),
-            pages_written_background: self.flusher.as_ref().map_or(0, Flusher::pages_written),
-            background_write_batches: self.flusher.as_ref().map_or(0, Flusher::write_batches),
+            pages_written_background: 0,
             tail_bytes_written: sync.tail_bytes_written,
             checkpoints: sync.checkpoints,
             wal_group_commits,
@@ -1508,8 +1386,8 @@ impl FileStore {
                 self.file.sync_data()?;
             }
         }
-        // 3. Every dirty page out: background queue barriered, cache flushed.  The WAL
-        //    lock is released — drains and page traffic stay independently locked.
+        // 3. Every dirty page out of the cache.  The WAL lock is released — drains and
+        //    page traffic stay independently locked.
         self.flush_pages()?;
         // 4. Only the tail sections whose generation moved are rewritten.
         let tail_offset = Self::tail_offset_for(self.room_count_internal());
@@ -1594,18 +1472,12 @@ impl FileStore {
     }
 }
 
-/// Joins the background flusher.  A normal drop drains the queue first (every enqueued
-/// page reaches the file); an [`abandoned`](FileStore::abandon) store discards it,
-/// leaving the file exactly as a crash would.
+/// Leaves the shared group-commit coordinator (sharded stores outlive each other): the
+/// sync cadence must stop sweeping this store's log file.  Drop never checkpoints — the
+/// sketch does that — so a dropped store leaves the file as a crash would.
 impl Drop for FileStore {
     fn drop(&mut self) {
-        // Leave the shared group-commit coordinator (sharded stores outlive each
-        // other): the sync cadence must stop sweeping this store's log file.
         self.group.deregister(&self.wal);
-        if let Some(mut flusher) = self.flusher.take() {
-            // relaxed: drop has exclusive access; the flag cannot race anything.
-            flusher.shutdown(self.abandoned.load(Ordering::Relaxed));
-        }
     }
 }
 
@@ -1801,28 +1673,6 @@ mod tests {
     }
 
     #[test]
-    fn buffered_store_round_trips_through_the_background_flusher() {
-        let path = temp_path("buffered");
-        let config = GssConfig::paper_default(40);
-        let mut store = FileStore::create_durable(&path, &config, 1, Durability::Buffered).unwrap();
-        for row in 0..40 {
-            store.store_room(row, (row * 7) % 40, 0, sample_room(row as i64 + 1));
-        }
-        // Reads see every write even while pages sit in the background queue (steal-back).
-        for row in 0..40 {
-            assert_eq!(store.room(row, (row * 7) % 40, 0).weight, row as i64 + 1);
-        }
-        store.write_tail(40, b"t").unwrap();
-        let stats = store.durability_stats();
-        assert_eq!(stats.checkpoints, 1);
-        drop(store);
-        let (reopened, header) = FileStore::open(&path, 4).unwrap();
-        assert_eq!(header.items_inserted, 40);
-        assert_eq!(reopened.occupied_rooms(), 40);
-        remove(&path);
-    }
-
-    #[test]
     fn row_and_column_scans_match_memory_semantics() {
         let path = temp_path("scan");
         let mut store = FileStore::create(&path, &GssConfig::paper_default(3), 8).unwrap();
@@ -1930,7 +1780,6 @@ mod tests {
             store.store_room(1, 1, 0, sample_room(4));
             let (_, ack) = store.try_log_commit_deferred(6).unwrap();
             store.ack_commit(ack);
-            store.abandon();
         }
         let (recovered, header) = FileStore::open(&path, 4).unwrap();
         assert!(header.recovered, "the acknowledged mutation survives the crash");
@@ -2090,31 +1939,26 @@ mod tests {
                 .with_path_token(&token),
         );
         let config = GssConfig::paper_default(8);
-        let mut store = FileStore::create_durable(&path, &config, 4, Durability::Buffered).unwrap();
+        let mut store = FileStore::create(&path, &config, 4).unwrap();
         store.store_room(0, 0, 0, sample_room(7));
         let (_, ack) = store.try_log_commit_deferred(1).unwrap();
-        // Buffered with a tiny pending arena: acknowledged without a drain.
-        store.try_ack_commit(ack).unwrap();
-        let healthy = store.durability_report();
-        assert!(!healthy.poisoned);
-        assert_eq!((healthy.acked_items, healthy.breached_items), (1, 0));
-        // The flush forces the drain, which hits the injected EIO.
-        let error = store.flush_pages().expect_err("injected drain failure must surface");
+        // The acknowledgement drains the log, which hits the injected EIO.
+        let fault = store.try_ack_commit(ack).expect_err("injected drain failure must surface");
         assert!(store.health().is_poisoned());
         // Writes fail-stop with the sticky cause...
-        let fault = store.try_store_room(0, 1, 0, sample_room(1)).unwrap_err();
-        assert_eq!(fault.kind(), error.kind());
+        let sticky = store.try_store_room(0, 1, 0, sample_room(1)).unwrap_err();
+        assert_eq!(sticky.kind(), fault.kind());
         assert!(store.try_log_commit_deferred(2).is_err());
         // ...reads keep serving from cache...
         assert_eq!(store.room(0, 0, 0).weight, 7);
-        // ...and the report names the acked-but-possibly-lost item.
+        // ...and the report is honest: the failed commit was never acknowledged, so
+        // nothing acknowledged can have been lost.
         let report = store.durability_report();
         assert!(report.poisoned);
-        assert_eq!(report.cause.as_ref().map(StoreFault::kind), Some(error.kind()));
-        assert_eq!((report.acked_items, report.durable_items, report.breached_items), (1, 0, 1));
+        assert_eq!(report.cause.as_ref().map(StoreFault::kind), Some(fault.kind()));
+        assert_eq!((report.acked_items, report.durable_items, report.breached_items), (0, 0, 0));
         assert_eq!(store.durability_stats().store_poisoned, 1);
         assert!(store.durability_stats().injected_faults >= 1);
-        store.abandon();
         drop(store);
         remove(&path);
     }

@@ -102,7 +102,7 @@ pub(crate) struct WalMember {
     /// Signalled when this member's drain round ends; parked committers re-check their
     /// target.
     done: Condvar,
-    /// The owning store's sticky fail-stop state, shared with the flusher: a failed
+    /// The owning store's sticky fail-stop state: a failed
     /// drain or cadence sync poisons it *before* `written` advances, so a parked
     /// committer waking on its target always observes the poison (the fix for the
     /// "fsyncgate"-style false acknowledgement).

@@ -23,14 +23,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The backing store a [`PageCache`] faults from and evicts to.  Implemented by
-/// `FileStore`, which routes `write_back` through the write-ahead barrier and, under
-/// buffered durability, the background flusher.
+/// `FileStore`, which routes `write_back` through the write-ahead barrier.
 pub trait PageIo {
-    /// Fills `into` with the current content of page `index`.  Returns `true` when the
-    /// bytes are *dirtier than the file* (stolen back from a pending write-back queue),
-    /// so the cache keeps the slot marked dirty.
-    fn load_page(&self, index: u64, into: &mut [u8; PAGE_BYTES]) -> io::Result<bool>;
-    /// Persists an evicted dirty page (directly or via a write-back queue).
+    /// Fills `into` with the current content of page `index`.
+    fn load_page(&self, index: u64, into: &mut [u8; PAGE_BYTES]) -> io::Result<()>;
+    /// Persists an evicted dirty page.
     fn write_back(&self, index: u64, data: &[u8; PAGE_BYTES]) -> io::Result<()>;
 }
 
@@ -167,22 +164,15 @@ impl PageCache {
         slots.insert(index, Arc::clone(&slot));
         drop(slots);
         drop(stripe_held);
-        match io.load_page(index, &mut data) {
-            Ok(dirty) => {
-                if dirty {
-                    slot.mark_dirty();
-                }
-            }
-            Err(error) => {
-                // Don't leave a zeroed slot masquerading as page content.  The latch
-                // held here belongs to the fresh slot inserted above, which this very
-                // `Arc` pins — no other thread can pick it as an eviction victim and
-                // close the latch→stripe order cycle, hence the declared edge.
-                let _stripe_held = witness::acquire_declared(LockClass::StripeMap);
-                // gss-lint: allow(L001, held latch pins the fresh slot so it can never be another thread's eviction victim)
-                self.stripe(index).slots.lock().remove(&index);
-                return Err(error);
-            }
+        if let Err(error) = io.load_page(index, &mut data) {
+            // Don't leave a zeroed slot masquerading as page content.  The latch
+            // held here belongs to the fresh slot inserted above, which this very
+            // `Arc` pins — no other thread can pick it as an eviction victim and
+            // close the latch→stripe order cycle, hence the declared edge.
+            let _stripe_held = witness::acquire_declared(LockClass::StripeMap);
+            // gss-lint: allow(L001, held latch pins the fresh slot so it can never be another thread's eviction victim)
+            self.stripe(index).slots.lock().remove(&index);
+            return Err(error);
         }
         drop(data);
         drop(latch_held);
@@ -298,12 +288,12 @@ mod tests {
     }
 
     impl PageIo for MemIo {
-        fn load_page(&self, index: u64, into: &mut [u8; PAGE_BYTES]) -> io::Result<bool> {
+        fn load_page(&self, index: u64, into: &mut [u8; PAGE_BYTES]) -> io::Result<()> {
             match self.pages.lock().get(&index) {
                 Some(page) => into.copy_from_slice(page),
                 None => into.fill(0),
             }
-            Ok(false)
+            Ok(())
         }
 
         fn write_back(&self, index: u64, data: &[u8; PAGE_BYTES]) -> io::Result<()> {

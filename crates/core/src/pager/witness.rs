@@ -39,15 +39,13 @@ pub enum LockClass {
     PageLatch = 3,
     /// The WAL append mutex (`FileStore::wal`).
     WalAppend = 4,
-    /// The background flusher's queue mutex.
-    FlushQueue = 5,
     /// The flush-hook mutex (leaf: user callbacks fire outside all store locks).
-    Hook = 6,
+    Hook = 5,
     /// The group-commit coordinator's state mutex (`GroupCommitter::group`).  Sits
     /// between the stripe/checkpoint layer and the WAL append mutex in the DAG: the
     /// eviction barrier takes it under a stripe guard, and the elected leader releases
     /// it *before* draining any member's WAL, so no Group → Wal edge exists at runtime.
-    GroupCommit = 7,
+    GroupCommit = 6,
     /// The `gss-server` namespace-registry `RwLock` (tenant name → open tenant map).
     /// Sits *above* [`LockClass::Shard`] at the very top of the DAG: a request handler
     /// resolves its tenant under the registry lock (holding it across lazy tenant
@@ -55,10 +53,10 @@ pub enum LockClass {
     /// sketch operation afterwards takes shard locks with the registry lock already
     /// released — or still held read-side, making `NamespaceRegistry → Shard` the only
     /// legal direction.  Sketch code must never call back up into the registry.
-    NamespaceRegistry = 8,
+    NamespaceRegistry = 7,
 }
 
-pub const CLASS_COUNT: usize = 9;
+pub const CLASS_COUNT: usize = 8;
 
 impl LockClass {
     pub fn name(self) -> &'static str {
@@ -68,7 +66,6 @@ impl LockClass {
             LockClass::StripeMap => "StripeMap",
             LockClass::PageLatch => "PageLatch",
             LockClass::WalAppend => "WalAppend",
-            LockClass::FlushQueue => "FlushQueue",
             LockClass::Hook => "Hook",
             LockClass::GroupCommit => "GroupCommit",
             LockClass::NamespaceRegistry => "NamespaceRegistry",
@@ -82,9 +79,8 @@ impl LockClass {
             2 => LockClass::StripeMap,
             3 => LockClass::PageLatch,
             4 => LockClass::WalAppend,
-            5 => LockClass::FlushQueue,
-            6 => LockClass::Hook,
-            7 => LockClass::GroupCommit,
+            5 => LockClass::Hook,
+            6 => LockClass::GroupCommit,
             _ => LockClass::NamespaceRegistry,
         }
     }
@@ -394,18 +390,18 @@ mod tests {
 
     #[test]
     fn inverted_order_across_threads_is_detected() {
-        // Forward direction first: CheckpointState -> FlushQueue (a real edge: the
-        // checkpoint path enqueues write-back under the sync_state mutex).
+        // Forward direction first: CheckpointState -> WalAppend (a real edge: the
+        // checkpoint path appends its TAIL frame under the sync_state mutex).
         let result = std::thread::spawn(|| {
             let chk = acquire(LockClass::CheckpointState);
-            let queue = acquire(LockClass::FlushQueue);
-            drop(queue);
+            let wal = acquire(LockClass::WalAppend);
+            drop(wal);
             drop(chk);
             // Reverse direction on the same thread later — exactly what a refactor
-            // that calls checkpoint() from the flusher would do.
-            let queue = acquire(LockClass::FlushQueue);
+            // that checkpoints while holding the WAL append mutex would do.
+            let wal = acquire(LockClass::WalAppend);
             let _chk = acquire(LockClass::CheckpointState); // must panic here
-            drop(queue);
+            drop(wal);
         })
         .join();
         let panic = result.expect_err("the witness must panic on the inverted acquisition");
@@ -414,7 +410,7 @@ mod tests {
             .cloned()
             .unwrap_or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()).unwrap());
         assert!(message.contains("lock-order witness"), "unexpected panic: {message}");
-        assert!(message.contains("CheckpointState") && message.contains("FlushQueue"));
+        assert!(message.contains("CheckpointState") && message.contains("WalAppend"));
         // The violating edge was never inserted, so the global graph stays acyclic.
         assert!(report().is_acyclic());
     }

@@ -19,7 +19,7 @@
 //!   ids through the `⟨H(v), v⟩` table.
 
 use crate::buffer::LeftoverBuffer;
-use crate::config::{Durability, GroupCommit, GssConfig};
+use crate::config::{GroupCommit, GssConfig};
 use crate::error::{ConfigError, DurabilityReport, GssError, StoreFault};
 use crate::file_store::{FileStore, TailSections};
 use crate::group_commit::GroupCommitter;
@@ -43,9 +43,9 @@ use std::sync::Arc;
 /// owned by the original and checkpointed by [`sync`](Self::sync) (also run on drop).
 ///
 /// File-backed sketches are crash-consistent: every mutation is write-ahead logged
-/// (see [`crate::wal`]) under the policy chosen by [`Durability`], so a killed process
-/// reopens its sketch file via [`open_file`](Self::open_file) with at most the
-/// documented `Buffered` loss window — `Strict` loses nothing acknowledged.
+/// (see [`crate::wal`]) and the log drains before each insert returns, so a killed
+/// process reopens its sketch file via [`open_file`](Self::open_file) with nothing
+/// acknowledged lost.
 #[derive(Debug, Clone)]
 pub struct GssSketch {
     config: GssConfig,
@@ -105,39 +105,20 @@ impl GssSketch {
     /// Returns a [`ConfigError`] if the configuration is invalid or the sketch file
     /// cannot be created (the I/O failure is carried in the message).
     pub fn with_storage(config: GssConfig, storage: StorageBackend) -> Result<Self, ConfigError> {
-        Self::with_storage_durability(config, storage, Durability::Strict)
+        Self::with_storage_grouped(config, storage, GroupCommitter::new(GroupCommit::default()))
     }
 
-    /// [`with_storage`](Self::with_storage) with an explicit [`Durability`] policy for
-    /// the file backend (ignored by the in-memory backend).
-    ///
-    /// # Errors
-    /// As [`with_storage`](Self::with_storage).
-    pub fn with_storage_durability(
-        config: GssConfig,
-        storage: StorageBackend,
-        durability: Durability,
-    ) -> Result<Self, ConfigError> {
-        Self::with_storage_durability_grouped(
-            config,
-            storage,
-            durability,
-            GroupCommitter::new(GroupCommit::default()),
-        )
-    }
-
-    /// [`with_storage_durability`](Self::with_storage_durability) against a
-    /// caller-supplied group-commit coordinator, so several file-backed sketches — the
+    /// [`with_storage`](Self::with_storage) against a caller-supplied group-commit
+    /// coordinator, so several file-backed sketches — the
     /// shards of a [`crate::ShardedGss`] — share one fsync schedule: a single cadence
     /// sync covers every log that wrote since the last one.  Ignored by the in-memory
     /// backend.
     ///
     /// # Errors
     /// As [`with_storage`](Self::with_storage).
-    pub fn with_storage_durability_grouped(
+    pub fn with_storage_grouped(
         config: GssConfig,
         storage: StorageBackend,
-        durability: Durability,
         group: Arc<GroupCommitter>,
     ) -> Result<Self, ConfigError> {
         config.validate()?;
@@ -146,8 +127,7 @@ impl GssSketch {
                 RoomStorage::Memory(MemoryStore::new(config.width, config.rooms))
             }
             StorageBackend::File { path, cache_pages } => RoomStorage::File(Box::new(
-                FileStore::create_durable_grouped(&path, &config, cache_pages, durability, group)
-                    .map_err(|error| {
+                FileStore::create_grouped(&path, &config, cache_pages, group).map_err(|error| {
                     ConfigError::new(format!(
                         "cannot create sketch file {}: {error}",
                         path.display()
@@ -193,41 +173,20 @@ impl GssSketch {
     /// Returns a [`PersistenceError`] if the file is missing, truncated, from a different
     /// format version, unrecoverably unclean, or structurally inconsistent.
     pub fn open_file(path: impl AsRef<Path>, cache_pages: usize) -> Result<Self, PersistenceError> {
-        Self::open_file_durability(path, cache_pages, Durability::Strict)
+        Self::open_file_grouped(path, cache_pages, GroupCommitter::new(GroupCommit::default()))
     }
 
-    /// [`open_file`](Self::open_file) with an explicit [`Durability`] policy for the
-    /// reopened sketch.
+    /// [`open_file`](Self::open_file) against a caller-supplied group-commit coordinator
+    /// (see [`with_storage_grouped`](Self::with_storage_grouped)).
     ///
     /// # Errors
     /// As [`open_file`](Self::open_file).
-    pub fn open_file_durability(
+    pub fn open_file_grouped(
         path: impl AsRef<Path>,
         cache_pages: usize,
-        durability: Durability,
-    ) -> Result<Self, PersistenceError> {
-        Self::open_file_durability_grouped(
-            path,
-            cache_pages,
-            durability,
-            GroupCommitter::new(GroupCommit::default()),
-        )
-    }
-
-    /// [`open_file_durability`](Self::open_file_durability) against a caller-supplied
-    /// group-commit coordinator (see
-    /// [`with_storage_durability_grouped`](Self::with_storage_durability_grouped)).
-    ///
-    /// # Errors
-    /// As [`open_file`](Self::open_file).
-    pub fn open_file_durability_grouped(
-        path: impl AsRef<Path>,
-        cache_pages: usize,
-        durability: Durability,
         group: Arc<GroupCommitter>,
     ) -> Result<Self, PersistenceError> {
-        let (store, header) =
-            FileStore::open_durable_grouped(path.as_ref(), cache_pages, durability, group)?;
+        let (store, header) = FileStore::open_grouped(path.as_ref(), cache_pages, group)?;
         // Decode the tail *before* assembling the sketch: if it is corrupt, returning
         // here drops only the bare store (no Drop), leaving the rejected file byte-for-
         // byte intact — a half-built sketch would checkpoint its partial state over the
@@ -257,8 +216,7 @@ impl GssSketch {
     }
 
     /// Checkpoints a file-backed sketch: logs the tail image to the write-ahead log,
-    /// flushes dirty pages (barriering the background flusher under
-    /// [`Durability::Buffered`]), rewrites **only the tail sections whose generation
+    /// flushes dirty pages, rewrites **only the tail sections whose generation
     /// stamp moved**, marks the file clean and truncates the log.  A fully unchanged
     /// sketch returns without touching the file; a no-op for in-memory sketches.  Runs
     /// automatically on drop (ignoring errors there — call `sync` explicitly when
@@ -293,15 +251,11 @@ impl GssSketch {
     }
 
     /// Drops the sketch **without** checkpointing: the backing file and its write-ahead
-    /// log are left exactly as a `SIGKILL` at this point would leave them (the background
-    /// flusher, if any, stops without draining its queue).  Crash tests and the
-    /// `durability_cost` recovery bench use this; for in-memory sketches it is a plain
-    /// drop.
+    /// log are left exactly as a `SIGKILL` at this point would leave them.  Crash tests
+    /// and the `durability_cost` recovery bench use this; for in-memory sketches it is a
+    /// plain drop.
     pub fn abandon(mut self) {
         self.sync_on_drop = false;
-        if let RoomStorage::File(store) = &self.matrix {
-            store.abandon();
-        }
     }
 
     /// Which storage backend the matrix uses (`"memory"` or `"file"`).
@@ -367,7 +321,7 @@ impl GssSketch {
             wal_group_commits: durability.wal_group_commits,
             wal_group_waits: durability.wal_group_waits,
             fsyncs: durability.wal_fsyncs,
-            pages_flushed: durability.pages_written + durability.pages_written_background,
+            pages_flushed: durability.pages_written,
             checkpoints: durability.checkpoints,
             page_lookups: pages.lookups,
             page_faults: pages.faults,
@@ -583,8 +537,8 @@ impl GssSketch {
         Ok(())
     }
 
-    /// Marks the completion of an insert/batch in the write-ahead log (under
-    /// [`Durability::Strict`] the log drains before this returns), and checkpoints the
+    /// Marks the completion of an insert/batch in the write-ahead log (the log drains
+    /// before this returns), and checkpoints the
     /// sketch automatically once the log outgrows
     /// [`wal_checkpoint_bytes`](Self::set_wal_checkpoint_bytes) — long runs that never
     /// call [`sync`](Self::sync) still keep bounded sidecar-log size and bounded
@@ -647,7 +601,7 @@ impl GssSketch {
     }
 
     /// The acknowledgement half of [`commit_wal_deferred`](Self::commit_wal_deferred):
-    /// applies the durability policy to a deferred commit.  Takes `&self`, so the
+    /// drains the log through a deferred commit.  Takes `&self`, so the
     /// acknowledgement pass can run under a shared sketch lock.
     pub(crate) fn ack_wal(&self, ack: crate::file_store::WalAck) {
         if let RoomStorage::File(store) = &self.matrix {

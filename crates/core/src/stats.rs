@@ -39,8 +39,8 @@ pub struct GssStats {
     pub colliding_hashes: usize,
     /// Current write-ahead-log bytes of a file-backed sketch (0 for in-memory).
     pub wal_bytes: u64,
-    /// Drains of the write-ahead-log buffer to disk (one per insert under
-    /// `Durability::Strict`; batched under `Buffered`).
+    /// Drains of the write-ahead-log buffer to disk (at most one per insert or batch;
+    /// fewer when group commit folds concurrent writers into one round).
     pub wal_flushes: u64,
     /// Group-commit rounds this sketch's log led (each round drains the pending window
     /// of every committing writer in one positioned write).
@@ -51,7 +51,7 @@ pub struct GssStats {
     /// `fdatasync` calls issued for this sketch's log by the group-commit cadence
     /// (`GroupCommit { max_delay_us, max_bytes }`) and by checkpoints.
     pub fsyncs: u64,
-    /// Dirty pages written back to the sketch file (foreground + background flusher).
+    /// Dirty pages written back to the sketch file (evictions and checkpoints).
     pub pages_flushed: u64,
     /// Completed checkpoints of the sketch file.
     pub checkpoints: u64,

@@ -515,7 +515,7 @@ pub fn naive_scan_column<S: RoomStore + ?Sized>(
 }
 
 /// The store a [`GssSketch`](crate::GssSketch) holds: enum dispatch over the two backends.
-/// The file backend is boxed — its WAL, flusher and checkpoint state would otherwise
+/// The file backend is boxed — its page cache, WAL and checkpoint state would otherwise
 /// inflate every in-memory sketch by the size of the larger variant.
 #[derive(Debug)]
 pub enum RoomStorage {

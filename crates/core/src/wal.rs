@@ -2,8 +2,8 @@
 //!
 //! A [`FileStore`](crate::FileStore) sketch file is only consistent at checkpoint
 //! boundaries ([`GssSketch::sync`](crate::GssSketch::sync)); between checkpoints its page
-//! cache holds room mutations that may reach the file in any order (eviction, background
-//! write-back).  The WAL makes the *stream of mutations itself* durable: every room
+//! cache holds room mutations that may reach the file in any order (eviction order,
+//! then the checkpoint's flush).  The WAL makes the *stream of mutations itself* durable: every room
 //! write, buffer spill and node registration is appended to a sidecar log
 //! (`<sketch>.wal`) **before** the page holding it may be written back, so an unclean
 //! file reopens by replaying the log instead of being rejected.

@@ -1,39 +1,38 @@
 //! Crash-matrix harness: the halves of CI's kill test (`ci/crash_matrix.sh`).
 //!
-//! * `crash_harness ingest <sketch> <progress> <strict|buffered> <items>` — builds a
-//!   file-backed sketch and feeds it a deterministic stream batch by batch, rewriting
-//!   `<progress>` (atomically) with the acknowledged item count after every batch.  The
-//!   driver SIGKILLs this process at a randomized offset.
-//! * `crash_harness verify <sketch> <progress> <strict|buffered> <window>` — reopens the
-//!   killed sketch (write-ahead-log recovery), asserts the recovered item count is no
-//!   more than `<window>` items behind the last acknowledged progress (`window` is 0 for
-//!   strict), regenerates the same stream and checks every recovered item's edge weight
-//!   against an exact reference — GSS never under-estimates, so a lost item shows up as
-//!   a missing or under-weight edge.
-//! * `crash_harness ingest-threaded <sketch> <progress> strict <items>` — the
-//!   multi-writer variant: [`WRITER_THREADS`] writer threads over one sharded
-//!   file-backed sketch (strict durability, one shard file and write-ahead log per
-//!   shard), each acknowledging its own interleaved sub-stream in `<progress>.<t>`,
-//!   while a reader thread queries concurrently.  The kill lands mid-flight across
-//!   several shard files and their logs at once.
-//! * `crash_harness verify-threaded <sketch> <progress> strict 0` — reopens every shard
+//! * `crash_harness ingest <sketch> <progress> <items>` — builds a file-backed sketch
+//!   and feeds it a deterministic stream batch by batch, rewriting `<progress>`
+//!   (atomically) with the acknowledged item count after every batch.  The driver
+//!   SIGKILLs this process at a randomized offset.
+//! * `crash_harness verify <sketch> <progress>` — reopens the killed sketch
+//!   (write-ahead-log recovery), asserts the recovered item count covers the last
+//!   acknowledged progress (zero acknowledged-item loss), regenerates the same stream
+//!   and checks every recovered item's edge weight against an exact reference — GSS
+//!   never under-estimates, so a lost item shows up as a missing or under-weight edge.
+//! * `crash_harness ingest-threaded <sketch> <progress> <items>` — the multi-writer
+//!   variant: [`WRITER_THREADS`] writer threads over one sharded file-backed sketch
+//!   (one shard file and write-ahead log per shard), each acknowledging its own
+//!   interleaved sub-stream in `<progress>.<t>`, while a reader thread queries
+//!   concurrently.  The kill lands mid-flight across several shard files and their
+//!   logs at once.
+//! * `crash_harness verify-threaded <sketch> <progress>` — reopens every shard
 //!   (recovering each through its own log — including reclaiming the killed process's
 //!   stale `.lock` sidecars), asserts the summed recovered item count covers every
 //!   per-thread acknowledgement, and checks the union of the acknowledged prefixes
 //!   against an exact reference.
-//! * `crash_harness ingest-group <sketch> <progress> strict <items>` /
-//!   `verify-group <sketch> <progress> strict 0` — the threaded mode run under a
+//! * `crash_harness ingest-group <sketch> <progress> <items>` /
+//!   `verify-group <sketch> <progress>` — the threaded mode run under a
 //!   deliberately **wide** group-commit window ([`GROUP_WINDOW`]), so the randomized
-//!   SIGKILL almost always lands inside an unsynced window: strict acknowledgement is
+//!   SIGKILL almost always lands inside an unsynced window: acknowledgement is
 //!   `write()`-based, so even a kill mid-window must lose zero acknowledged items.
-//! * `crash_harness fault-ingest <sketch> <progress> <strict|buffered> <items>` — the
+//! * `crash_harness fault-ingest <sketch> <progress> <items>` — the
 //!   fault-matrix half (`ci/fault_matrix.sh`): the driver sets `GSS_FAULT_PLAN` to a
 //!   randomized schedule of injected I/O faults (`EIO`, `ENOSPC`, torn writes, failed
 //!   fsync — see `gss_core::pager::faults`), and ingest runs on the typed
 //!   `try_insert_batch` path.  A hard fault must fail stop — sticky poison, writes
 //!   rejected, reads still served — and the run writes `<progress>.fault` with the
 //!   [`DurabilityReport`] numbers so the verify half knows what was promised.
-//! * `crash_harness fault-verify <sketch> <progress> <strict|buffered> 0` — reopens
+//! * `crash_harness fault-verify <sketch> <progress>` — reopens
 //!   with the schedule cleared and holds the report to its word: every item the report
 //!   called durable must be recovered (acked ⇒ recovered ∨ reported breached), and the
 //!   recovered prefix's edges must answer with at least their exact weights.
@@ -41,8 +40,7 @@
 //! Exit code 0 means the crash was survived within the documented guarantees.
 
 use gss_core::{
-    Durability, DurabilityReport, GroupCommit, GssConfig, GssError, GssSketch, ShardedGss,
-    StorageBackend,
+    DurabilityReport, GroupCommit, GssConfig, GssError, GssSketch, ShardedGss, StorageBackend,
 };
 use gss_graph::{StreamEdge, SummaryRead, SummaryWrite};
 use std::collections::HashMap;
@@ -57,15 +55,15 @@ const BATCH: usize = 64;
 const VERTICES: u64 = 20_000;
 /// Stream seed: both halves must generate identical items.
 const SEED: u64 = 0xC4A5_41D5;
-/// Page-cache pages: deliberately smaller than the room region so evictions (and, under
-/// buffered durability, the background flusher) are exercised mid-run.
+/// Page-cache pages: deliberately smaller than the room region so evictions and their
+/// write-ahead barrier are exercised mid-run.
 const CACHE_PAGES: usize = 64;
 /// Cap on exhaustively verified distinct edges (keeps verification seconds-scale).
 const VERIFY_EDGE_CAP: usize = 150_000;
 /// Writer threads (= shards) of the threaded mode.
 const WRITER_THREADS: usize = 3;
 /// Group-commit window of the `-group` mode: wide enough (50 ms / 4 MiB) that the
-/// randomized kill almost always lands *inside* an unsynced window, proving strict
+/// randomized kill almost always lands *inside* an unsynced window, proving
 /// acknowledgement never leans on the cadence `fdatasync`.
 const GROUP_WINDOW: GroupCommit = GroupCommit { max_delay_us: 50_000, max_bytes: 4 * 1024 * 1024 };
 
@@ -86,21 +84,15 @@ fn stream_item(state: &mut u64, time: usize) -> StreamEdge {
     )
 }
 
-fn parse_durability(name: &str) -> Durability {
-    match name {
-        "strict" => Durability::Strict,
-        "buffered" => Durability::Buffered,
-        other => {
-            eprintln!("unknown durability {other:?} (expected strict|buffered)");
-            exit(2);
-        }
-    }
-}
-
 /// Atomically replaces `path` with `value` (write-to-temp + rename), so a kill between
-/// syscalls can never leave a torn progress file.
+/// syscalls can never leave a torn progress file.  The temp file is `<path>.tmp`, one
+/// per progress file: the threaded mode's writers update `<progress>.0`, `.1`, … at
+/// once, and a shared temp name would let one thread rename another's count into its
+/// own progress file.
 fn write_progress(path: &Path, value: u64) {
-    let tmp = path.with_extension("tmp");
+    let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
+    name.push(".tmp");
+    let tmp = path.with_file_name(name);
     if std::fs::write(&tmp, value.to_string()).is_ok() {
         let _ = std::fs::rename(&tmp, path);
     }
@@ -110,11 +102,10 @@ fn read_progress(path: &Path) -> u64 {
     std::fs::read_to_string(path).ok().and_then(|text| text.trim().parse().ok()).unwrap_or(0)
 }
 
-fn ingest(sketch_path: &Path, progress_path: &Path, durability: Durability, items: usize) {
+fn ingest(sketch_path: &Path, progress_path: &Path, items: usize) {
     let storage =
         StorageBackend::File { path: sketch_path.to_path_buf(), cache_pages: CACHE_PAGES };
-    let mut sketch = GssSketch::with_storage_durability(config(), storage, durability)
-        .expect("sketch file creatable");
+    let mut sketch = GssSketch::with_storage(config(), storage).expect("sketch file creatable");
     write_progress(progress_path, 0);
     let mut state = SEED;
     let mut produced = 0usize;
@@ -126,17 +117,17 @@ fn ingest(sketch_path: &Path, progress_path: &Path, durability: Durability, item
         }
         sketch.insert_batch(&batch);
         produced += batch.len();
-        // insert_batch returned: under strict durability these items are now crash-safe,
-        // so acknowledging them in the progress file is honest.
+        // insert_batch returned: these items are now crash-safe, so acknowledging them
+        // in the progress file is honest.
         write_progress(progress_path, produced as u64);
     }
     sketch.sync().expect("final checkpoint");
     println!("ingest completed all {produced} items (not killed)");
 }
 
-fn verify(sketch_path: &Path, progress_path: &Path, durability: Durability, window: u64) {
+fn verify(sketch_path: &Path, progress_path: &Path) {
     let acknowledged = read_progress(progress_path);
-    let sketch = match GssSketch::open_file_durability(sketch_path, CACHE_PAGES, durability) {
+    let sketch = match GssSketch::open_file(sketch_path, CACHE_PAGES) {
         Ok(sketch) => sketch,
         Err(error) if acknowledged == 0 => {
             // Killed before the sketch file finished being created: nothing was
@@ -155,15 +146,14 @@ fn verify(sketch_path: &Path, progress_path: &Path, durability: Durability, wind
     };
     let recovered = sketch.items_inserted();
     println!(
-        "recovered {recovered} items ({acknowledged} acknowledged, window {window}, \
-         {} matrix edges, {} buffered)",
+        "recovered {recovered} items ({acknowledged} acknowledged, {} matrix edges, \
+         {} buffered)",
         sketch.stored_edges() - sketch.buffered_edges(),
         sketch.buffered_edges()
     );
-    if recovered + window < acknowledged {
+    if recovered < acknowledged {
         eprintln!(
-            "FAIL: recovered item count {recovered} is more than {window} behind the \
-             acknowledged {acknowledged}"
+            "FAIL: recovered item count {recovered} is behind the acknowledged {acknowledged}"
         );
         exit(1);
     }
@@ -249,11 +239,11 @@ fn check_prefix_weights(sketch: &GssSketch, recovered: u64) {
 /// Fault-matrix ingest: the library picks the schedule up from `GSS_FAULT_PLAN`; this
 /// half ingests on the typed fail-stop path and checks the poisoned-store contract at
 /// the moment the first hard fault lands.
-fn fault_ingest(sketch_path: &Path, progress_path: &Path, durability: Durability, items: usize) {
+fn fault_ingest(sketch_path: &Path, progress_path: &Path, items: usize) {
     let storage =
         StorageBackend::File { path: sketch_path.to_path_buf(), cache_pages: CACHE_PAGES };
     write_progress(progress_path, 0);
-    let mut sketch = match GssSketch::with_storage_durability(config(), storage, durability) {
+    let mut sketch = match GssSketch::with_storage(config(), storage) {
         Ok(sketch) => sketch,
         Err(error) => {
             // The schedule hit creation itself: nothing acknowledged, nothing durable —
@@ -371,10 +361,10 @@ fn fault_ingest(sketch_path: &Path, progress_path: &Path, durability: Durability
 
 /// Fault-matrix verify: runs with the schedule cleared and holds the ingest half's
 /// report to its word.
-fn fault_verify(sketch_path: &Path, progress_path: &Path, durability: Durability) {
+fn fault_verify(sketch_path: &Path, progress_path: &Path) {
     let acknowledged = read_progress(progress_path);
     let report = read_fault_report(progress_path);
-    let sketch = match GssSketch::open_file_durability(sketch_path, CACHE_PAGES, durability) {
+    let sketch = match GssSketch::open_file(sketch_path, CACHE_PAGES) {
         Ok(sketch) => sketch,
         Err(error) if report.poisoned && report.durable_items == 0 => {
             println!(
@@ -441,24 +431,14 @@ fn shard_sketch_path(sketch_path: &Path, shard: usize) -> PathBuf {
 fn ingest_threaded(
     sketch_path: &Path,
     progress_path: &Path,
-    durability: Durability,
     items: usize,
     group_commit: GroupCommit,
 ) {
-    if durability != Durability::Strict {
-        eprintln!("threaded mode proves the strict multi-writer guarantee; use strict");
-        exit(2);
-    }
     let storage =
         StorageBackend::File { path: sketch_path.to_path_buf(), cache_pages: CACHE_PAGES };
-    let sharded = ShardedGss::with_storage_durability_grouped(
-        config(),
-        WRITER_THREADS,
-        &storage,
-        durability,
-        group_commit,
-    )
-    .expect("shard files creatable");
+    let sharded =
+        ShardedGss::with_storage_grouped(config(), WRITER_THREADS, &storage, group_commit)
+            .expect("shard files creatable");
     let done = Arc::new(AtomicBool::new(false));
     let reader = {
         let sharded = sharded.clone();
@@ -484,7 +464,7 @@ fn ingest_threaded(
                 write_progress(&progress, 0);
                 for (index, batch) in stream.chunks(BATCH).enumerate() {
                     sharded.insert_batch(batch);
-                    // Strict: the batch is durable across every shard it touched.
+                    // The batch is durable across every shard it touched.
                     write_progress(&progress, (index * BATCH + batch.len()) as u64);
                 }
             })
@@ -500,18 +480,14 @@ fn ingest_threaded(
     println!("threaded ingest completed all {items} items (not killed)");
 }
 
-fn verify_threaded(sketch_path: &Path, progress_path: &Path, durability: Durability, window: u64) {
+fn verify_threaded(sketch_path: &Path, progress_path: &Path) {
     let acknowledged: Vec<u64> = (0..WRITER_THREADS)
         .map(|t| read_progress(&thread_progress_path(progress_path, t)))
         .collect();
     let total_acknowledged: u64 = acknowledged.iter().sum();
     let mut shards = Vec::new();
     for shard in 0..WRITER_THREADS {
-        match GssSketch::open_file_durability(
-            shard_sketch_path(sketch_path, shard),
-            CACHE_PAGES,
-            durability,
-        ) {
+        match GssSketch::open_file(shard_sketch_path(sketch_path, shard), CACHE_PAGES) {
             Ok(sketch) => shards.push(sketch),
             Err(error) if total_acknowledged == 0 => {
                 println!("nothing acknowledged before the kill (open: {error}); vacuous pass");
@@ -531,10 +507,10 @@ fn verify_threaded(sketch_path: &Path, progress_path: &Path, durability: Durabil
         "recovered {recovered} items across {WRITER_THREADS} shards \
          ({total_acknowledged} acknowledged: {acknowledged:?})"
     );
-    if recovered + window < total_acknowledged {
+    if recovered < total_acknowledged {
         eprintln!(
-            "FAIL: recovered item count {recovered} is more than {window} behind the \
-             acknowledged {total_acknowledged}"
+            "FAIL: recovered item count {recovered} is behind the acknowledged \
+             {total_acknowledged}"
         );
         exit(1);
     }
@@ -590,81 +566,30 @@ fn verify_threaded(sketch_path: &Path, progress_path: &Path, durability: Durabil
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    match args.get(1).map(String::as_str) {
-        Some("ingest") if args.len() == 6 => {
-            let items: usize = args[5].parse().expect("items must be a number");
-            ingest(
-                &PathBuf::from(&args[2]),
-                &PathBuf::from(&args[3]),
-                parse_durability(&args[4]),
-                items,
-            );
+    let sketch = || PathBuf::from(&args[2]);
+    let progress = || PathBuf::from(&args[3]);
+    let items = || -> usize { args[4].parse().expect("items must be a number") };
+    match (args.get(1).map(String::as_str), args.len()) {
+        (Some("ingest"), 5) => ingest(&sketch(), &progress(), items()),
+        (Some("verify"), 4) => verify(&sketch(), &progress()),
+        (Some("ingest-threaded"), 5) => {
+            ingest_threaded(&sketch(), &progress(), items(), GroupCommit::default())
         }
-        Some("verify") if args.len() == 6 => {
-            let window: u64 = args[5].parse().expect("window must be a number");
-            verify(
-                &PathBuf::from(&args[2]),
-                &PathBuf::from(&args[3]),
-                parse_durability(&args[4]),
-                window,
-            );
-        }
-        Some("ingest-threaded") if args.len() == 6 => {
-            let items: usize = args[5].parse().expect("items must be a number");
-            ingest_threaded(
-                &PathBuf::from(&args[2]),
-                &PathBuf::from(&args[3]),
-                parse_durability(&args[4]),
-                items,
-                GroupCommit::default(),
-            );
-        }
-        Some("ingest-group") if args.len() == 6 => {
-            let items: usize = args[5].parse().expect("items must be a number");
-            ingest_threaded(
-                &PathBuf::from(&args[2]),
-                &PathBuf::from(&args[3]),
-                parse_durability(&args[4]),
-                items,
-                GROUP_WINDOW,
-            );
-        }
-        Some("verify-threaded" | "verify-group") if args.len() == 6 => {
-            let window: u64 = args[5].parse().expect("window must be a number");
-            verify_threaded(
-                &PathBuf::from(&args[2]),
-                &PathBuf::from(&args[3]),
-                parse_durability(&args[4]),
-                window,
-            );
-        }
-        Some("fault-ingest") if args.len() == 6 => {
-            let items: usize = args[5].parse().expect("items must be a number");
-            fault_ingest(
-                &PathBuf::from(&args[2]),
-                &PathBuf::from(&args[3]),
-                parse_durability(&args[4]),
-                items,
-            );
-        }
-        Some("fault-verify") if args.len() == 6 => {
-            fault_verify(
-                &PathBuf::from(&args[2]),
-                &PathBuf::from(&args[3]),
-                parse_durability(&args[4]),
-            );
-        }
+        (Some("ingest-group"), 5) => ingest_threaded(&sketch(), &progress(), items(), GROUP_WINDOW),
+        (Some("verify-threaded" | "verify-group"), 4) => verify_threaded(&sketch(), &progress()),
+        (Some("fault-ingest"), 5) => fault_ingest(&sketch(), &progress(), items()),
+        (Some("fault-verify"), 4) => fault_verify(&sketch(), &progress()),
         _ => {
             eprintln!(
-                "usage: crash_harness ingest <sketch> <progress> <strict|buffered> <items>\n\
-                 \x20      crash_harness verify <sketch> <progress> <strict|buffered> <window>\n\
-                 \x20      crash_harness ingest-threaded <sketch> <progress> strict <items>\n\
-                 \x20      crash_harness verify-threaded <sketch> <progress> strict 0\n\
-                 \x20      crash_harness ingest-group <sketch> <progress> strict <items>\n\
-                 \x20      crash_harness verify-group <sketch> <progress> strict 0\n\
-                 \x20      crash_harness fault-ingest <sketch> <progress> <strict|buffered> \
-                 <items>   (schedule from GSS_FAULT_PLAN)\n\
-                 \x20      crash_harness fault-verify <sketch> <progress> <strict|buffered> 0"
+                "usage: crash_harness ingest <sketch> <progress> <items>\n\
+                 \x20      crash_harness verify <sketch> <progress>\n\
+                 \x20      crash_harness ingest-threaded <sketch> <progress> <items>\n\
+                 \x20      crash_harness verify-threaded <sketch> <progress>\n\
+                 \x20      crash_harness ingest-group <sketch> <progress> <items>\n\
+                 \x20      crash_harness verify-group <sketch> <progress>\n\
+                 \x20      crash_harness fault-ingest <sketch> <progress> <items>   \
+                 (schedule from GSS_FAULT_PLAN)\n\
+                 \x20      crash_harness fault-verify <sketch> <progress>"
             );
             exit(2);
         }

@@ -118,7 +118,7 @@ impl FileReport {
 fn l003_scope(basename: &str) -> &'static [&'static str] {
     match basename {
         "wal.rs" => &["read_replay", "parse_frame", "take", "u64"],
-        "file_store.rs" => &["open", "open_durable", "recover", "assemble", "rebuild_index"],
+        "file_store.rs" => &["open", "open_grouped", "recover", "assemble", "rebuild_index"],
         _ => &[],
     }
 }

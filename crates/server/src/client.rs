@@ -55,16 +55,15 @@ impl From<FrameError> for ClientError {
     }
 }
 
-/// The acknowledgement of a batch ingest.  What `acked` *means* depends on the
-/// tenant's durability mode — see the README's guarantee table for the row-by-row
-/// contract.
+/// The acknowledgement of a batch ingest: acknowledged items survive a process kill —
+/// see the README's guarantee table for the row-by-row contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestAck {
     /// Items accepted from this batch.
     pub accepted: u64,
     /// Items this tenant has accepted since its store was opened.
     pub acked_total: u64,
-    /// [`protocol::DURABILITY_STRICT`] or [`protocol::DURABILITY_BUFFERED`].
+    /// Always [`protocol::DURABILITY_STRICT`].
     pub durability: u8,
 }
 

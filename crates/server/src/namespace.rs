@@ -1,5 +1,5 @@
 //! Multi-tenant namespaces: each tenant name maps to its own [`ShardedGss`] and
-//! sketch-file directory, with independent durability and group-commit knobs.
+//! sketch-file directory, with independent shard, width, rate and group-commit knobs.
 //!
 //! Tenants are declared up front in the server configuration but **opened lazily**:
 //! the first authenticated request for a tenant builds (first boot) or reopens
@@ -15,7 +15,7 @@
 //! nothing inside a sketch ever calls back up into the registry.
 
 use crate::net;
-use crate::protocol::{err, WireEdge, WireStats, DURABILITY_BUFFERED, DURABILITY_STRICT};
+use crate::protocol::{err, WireEdge, WireStats};
 use crate::rate_limit::TokenBucket;
 use gss_core::pager::witness::{self, LockClass};
 use gss_core::{Durability, FileStore, GroupCommit, GssBuilder, GssError, ShardedGss};
@@ -53,9 +53,7 @@ impl From<GssError> for ServiceError {
 pub struct TenantSpec {
     /// Shared-secret token presented in HELLO.
     pub token: String,
-    /// Ack semantics of this tenant's ingest (see the README guarantee table).
-    pub durability: Durability,
-    /// Group-commit cadence for `durability = strict`.
+    /// Group-commit cadence of the tenant's write-ahead logs.
     pub group_commit: GroupCommit,
     /// Writer shards of the tenant's store.
     pub shards: usize,
@@ -71,7 +69,6 @@ impl Default for TenantSpec {
     fn default() -> Self {
         Self {
             token: String::new(),
-            durability: Durability::Strict,
             group_commit: GroupCommit::default(),
             shards: 2,
             width: 256,
@@ -98,11 +95,13 @@ pub fn valid_tenant_name(name: &str) -> bool {
 /// ```text
 /// # comment
 /// tenant alpha token=alpha-secret durability=strict shards=2 width=256 rate=0 burst=0
-/// tenant beta  token=beta-secret  durability=buffered
+/// tenant beta  token=beta-secret  width=128
 /// ```
 ///
 /// Unspecified keys take [`TenantSpec::default`]; `rate` is sustained tokens per
 /// second (0 = unlimited) and `burst` the bucket capacity (defaults to `rate`).
+/// `durability` accepts only `strict`, the one durability mode, which is also the
+/// default.
 #[derive(Debug, Clone, Default)]
 pub struct ServerConfig {
     pub tenants: HashMap<String, TenantSpec>,
@@ -145,10 +144,8 @@ impl ServerConfig {
                 match key {
                     "token" => spec.token = value.to_string(),
                     "durability" => {
-                        spec.durability = match value {
-                            "strict" => Durability::Strict,
-                            "buffered" => Durability::Buffered,
-                            _ => return Err(bad("durability")),
+                        if value != "strict" {
+                            return Err(bad("durability"));
                         }
                     }
                     "shards" => {
@@ -187,7 +184,6 @@ impl ServerConfig {
 pub struct Namespace {
     pub name: String,
     store: ShardedGss,
-    durability: Durability,
     bucket: Mutex<TokenBucket>,
     /// Server-assigned stream timestamps, monotone per tenant in arrival order.
     clock: AtomicU64,
@@ -197,10 +193,7 @@ pub struct Namespace {
 
 impl std::fmt::Debug for Namespace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Namespace")
-            .field("name", &self.name)
-            .field("durability", &self.durability)
-            .finish_non_exhaustive()
+        f.debug_struct("Namespace").field("name", &self.name).finish_non_exhaustive()
     }
 }
 
@@ -234,14 +227,6 @@ impl Namespace {
         let total =
             self.accepted.fetch_add(items.len() as u64, Ordering::Relaxed) + items.len() as u64;
         Ok((items.len() as u64, total))
-    }
-
-    /// The durability byte for INGESTED responses.
-    pub fn durability_byte(&self) -> u8 {
-        match self.durability {
-            Durability::Strict => DURABILITY_STRICT,
-            Durability::Buffered => DURABILITY_BUFFERED,
-        }
     }
 
     pub fn edge_weight(&self, source: u64, destination: u64) -> Option<i64> {
@@ -355,7 +340,7 @@ impl NamespaceRegistry {
                 &base,
                 spec.shards,
                 FileStore::DEFAULT_CACHE_PAGES,
-                spec.durability,
+                Durability::Strict,
                 spec.group_commit,
             )
             .map_err(|e| unavailable(format!("cannot reopen tenant store: {e}")))?
@@ -364,7 +349,6 @@ impl NamespaceRegistry {
                 .width(spec.width)
                 .track_node_ids(true)
                 .storage_dir(&dir, tenant)
-                .durability(spec.durability)
                 .group_commit(spec.group_commit)
                 .build_sharded(spec.shards)
                 .map_err(|e| unavailable(format!("cannot create tenant store: {e}")))?
@@ -375,7 +359,6 @@ impl NamespaceRegistry {
         Ok(Namespace {
             name: tenant.to_string(),
             store,
-            durability: spec.durability,
             bucket: Mutex::new(TokenBucket::new(
                 spec.rate_capacity,
                 spec.rate_per_sec,
@@ -394,15 +377,13 @@ mod tests {
     #[test]
     fn config_parses_tenants_with_defaults_and_overrides() {
         let text = "\n# fleet\ntenant alpha token=a-secret durability=strict shards=2 rate=100\n\
-                    tenant beta token=b-secret durability=buffered width=128 burst=7\n";
+                    tenant beta token=b-secret width=128 burst=7\n";
         let config = ServerConfig::parse(text).unwrap();
         let alpha = &config.tenants["alpha"];
-        assert_eq!(alpha.durability, Durability::Strict);
         assert_eq!(alpha.shards, 2);
         assert_eq!(alpha.rate_per_sec, 100);
         assert_eq!(alpha.rate_capacity, 100, "burst defaults to rate");
         let beta = &config.tenants["beta"];
-        assert_eq!(beta.durability, Durability::Buffered);
         assert_eq!(beta.width, 128);
         assert_eq!(beta.rate_capacity, 7);
         assert_eq!(beta.rate_per_sec, 0);
@@ -414,6 +395,7 @@ mod tests {
             ("tenant", "needs a name"),
             ("tenant Bad/name token=x", "must be 1-64 chars"),
             ("tenant a token=x durability=eventual", "bad durability"),
+            ("tenant a token=x durability=buffered", "bad durability"),
             ("tenant a token=x shards=0", "bad shards"),
             ("tenant a", "has no token"),
             ("tenant a token=x\ntenant a token=y", "declared twice"),

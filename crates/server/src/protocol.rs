@@ -124,8 +124,9 @@ pub enum Request {
 pub enum Response {
     /// Success with no payload (HELLO, SNAPSHOT).
     Ok,
-    /// Ingest acknowledgement: what an ack *means* depends on the tenant's
-    /// durability mode — see the README's guarantee table.
+    /// Ingest acknowledgement: acknowledged items survive a process kill — see the
+    /// README's guarantee table.  `durability` is always [`DURABILITY_STRICT`]; the
+    /// byte stays so the frame layout is unchanged.
     Ingested { accepted: u64, acked_total: u64, durability: u8 },
     /// Edge weight, or `None` for "no such edge reported".
     EdgeWeight(Option<i64>),
@@ -141,10 +142,8 @@ pub enum Response {
     Error { code: u16, message: String },
 }
 
-/// Durability byte values in [`Response::Ingested`].
+/// The durability byte of every [`Response::Ingested`].
 pub const DURABILITY_STRICT: u8 = 0;
-/// See [`DURABILITY_STRICT`].
-pub const DURABILITY_BUFFERED: u8 = 1;
 
 const REQ_HELLO: u8 = 0x01;
 const REQ_INGEST: u8 = 0x02;

@@ -215,7 +215,7 @@ fn dispatch(
             Ok((accepted, acked_total)) => Response::Ingested {
                 accepted,
                 acked_total,
-                durability: namespace.durability_byte(),
+                durability: protocol::DURABILITY_STRICT,
             },
             Err(error) => error_response(error),
         },

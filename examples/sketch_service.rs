@@ -1,7 +1,7 @@
 //! A multi-tenant sketch service, end to end in one process.
 //!
-//! Boots a `gss-server` on a random port with two tenants — a strictly-durable
-//! `payments` namespace and a throughput-leaning `telemetry` namespace — then
+//! Boots a `gss-server` on a random port with two tenants — a rate-limited `payments`
+//! namespace and a `telemetry` namespace with a wider group-commit window — then
 //! drives both through `GssClient` over real TCP: batch ingest, edge / successor /
 //! reachability queries, a snapshot, and the per-tenant statistics with their
 //! honest durability account.
@@ -14,10 +14,11 @@ fn main() {
     let data_dir = std::env::temp_dir().join(format!("gss-service-demo-{}", std::process::id()));
     std::fs::remove_dir_all(&data_dir).ok();
 
-    // Two tenants with independent durability knobs; `payments` is also rate-limited.
+    // Two tenants with independent knobs: `payments` is rate-limited, `telemetry` syncs
+    // its logs on a wider group-commit window.
     let config = ServerConfig::parse(
-        "tenant payments  token=pay-secret durability=strict   shards=2 width=128 rate=100000\n\
-         tenant telemetry token=tel-secret durability=buffered shards=2 width=128",
+        "tenant payments  token=pay-secret durability=strict shards=2 width=128 rate=100000\n\
+         tenant telemetry token=tel-secret shards=2 width=128 group_delay_us=50000",
     )
     .expect("valid tenant configuration");
     let server =
@@ -25,7 +26,7 @@ fn main() {
     let handle = server.spawn().expect("spawn the accept loop");
     println!("serving on {}", handle.addr());
 
-    // The payments tenant: a chain of transfers, strictly durable.
+    // The payments tenant: a chain of transfers.
     let mut payments = GssClient::connect(handle.addr()).expect("connect");
     payments.hello("payments", "pay-secret").expect("authenticate");
     let transfers: Vec<(u64, u64, i64)> =
@@ -42,7 +43,7 @@ fn main() {
     );
     payments.snapshot().expect("checkpoint payments to disk");
 
-    // The telemetry tenant: a star of sensor readings, buffered for throughput.
+    // The telemetry tenant: a star of sensor readings.
     let mut telemetry = GssClient::connect(handle.addr()).expect("connect");
     telemetry.hello("telemetry", "tel-secret").expect("authenticate");
     let readings: Vec<(u64, u64, i64)> =

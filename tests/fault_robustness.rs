@@ -19,8 +19,7 @@
 use gss::prelude::*;
 use gss_core::wal::wal_path;
 use gss_core::{
-    install_fault_plan, Durability, DurabilityReport, FaultKind, FaultOp, FaultPlan, FaultSite,
-    GssError,
+    install_fault_plan, DurabilityReport, FaultKind, FaultOp, FaultPlan, FaultSite, GssError,
 };
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -87,15 +86,10 @@ fn transient_site() -> impl Strategy<Value = FaultSite> {
 
 /// Ingests under the schedule and returns `(acked, first fault seen, report,
 /// a query edge and its reply while poisoned)`.  Panics anywhere are test failures.
-fn run_hard_schedule(
-    path: &Path,
-    seed: u64,
-    durability: Durability,
-) -> (u64, bool, DurabilityReport) {
-    let sketch = GssSketch::with_storage_durability(
+fn run_hard_schedule(path: &Path, seed: u64) -> (u64, bool, DurabilityReport) {
+    let sketch = GssSketch::with_storage(
         fault_config(),
         StorageBackend::File { path: path.to_path_buf(), cache_pages: 4 },
-        durability,
     );
     let Ok(mut sketch) = sketch else {
         // The schedule hit file creation itself: a typed error, nothing durable,
@@ -163,12 +157,10 @@ proptest! {
     fn hard_fault_schedules_fail_stop_without_false_acks(
         sites in prop::collection::vec(hard_site(), 1..4),
         seed in any::<u64>(),
-        strict in any::<bool>(),
     ) {
         let (path, token) = unique_path("hard");
-        let durability = if strict { Durability::Strict } else { Durability::Buffered };
         let guard = install_fault_plan(FaultPlan::for_path_token(&token, sites));
-        let outcome = std::panic::catch_unwind(|| run_hard_schedule(&path, seed, durability));
+        let outcome = std::panic::catch_unwind(|| run_hard_schedule(&path, seed));
         drop(guard); // clear the schedule before reopening
         let (acked, faulted, report) = match outcome {
             Ok(values) => values,
@@ -210,10 +202,9 @@ proptest! {
     ) {
         let (path, token) = unique_path("transient");
         let guard = install_fault_plan(FaultPlan::for_path_token(&token, sites));
-        let mut sketch = GssSketch::with_storage_durability(
+        let mut sketch = GssSketch::with_storage(
             fault_config(),
             StorageBackend::File { path: path.clone(), cache_pages: 4 },
-            Durability::Buffered,
         )
         .expect("transient faults must not fail creation");
         let mut state = seed | 1;
@@ -272,16 +263,14 @@ fn poisoning_is_scoped_to_the_faulted_store() {
     let guard = install_fault_plan(
         FaultPlan::parse("write:eio@2").unwrap().with_path_token(format!("{token}.gss.wal")),
     );
-    let mut faulted = GssSketch::with_storage_durability(
+    let mut faulted = GssSketch::with_storage(
         fault_config(),
         StorageBackend::File { path: faulted_path.clone(), cache_pages: 4 },
-        Durability::Strict,
     )
     .expect("creation survives (occurrence 1 is the WAL magic)");
-    let mut healthy = GssSketch::with_storage_durability(
+    let mut healthy = GssSketch::with_storage(
         fault_config(),
         StorageBackend::File { path: healthy_path.clone(), cache_pages: 4 },
-        Durability::Strict,
     )
     .expect("untokened sibling resolves no plan");
     let mut state = 7u64;

@@ -1,10 +1,10 @@
 //! Property-based equivalence of the group-commit write-ahead path (proptest): a
-//! `Durability::Strict` sketch whose log drains through the group-commit coordinator
-//! must recover to **exactly** the state a per-insert-synced Strict sketch recovers
-//! to — group commit batches `fdatasync` scheduling, never acknowledgement.
+//! file-backed sketch whose log drains through the group-commit coordinator must
+//! recover to **exactly** the state a per-insert-synced sketch recovers to — group
+//! commit batches `fdatasync` scheduling, never acknowledgement.
 //!
-//! Each case ingests one random stream into two file-backed Strict sketches: one with
-//! the default group-commit window (2 ms / 256 KiB) and one with a zero window
+//! Each case ingests one random stream into two file-backed sketches: one with the
+//! default group-commit window (20 ms / 256 KiB) and one with a zero window
 //! (`GroupCommit { max_delay_us: 0, max_bytes: 0 }`), which forces a sync on every
 //! drain round and thereby reproduces the historical sync-per-insert behaviour.  Both
 //! are crashed with no checkpoint ([`GssSketch::abandon`]) and recovered by log
@@ -13,7 +13,7 @@
 
 use gss::prelude::*;
 use gss_core::wal::wal_path;
-use gss_core::{Durability, GroupCommit, GroupCommitter};
+use gss_core::{GroupCommit, GroupCommitter};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,13 +29,12 @@ fn remove(path: &Path) {
     std::fs::remove_file(wal_path(path)).ok();
 }
 
-/// Builds a small file-backed Strict sketch whose log drains through a coordinator
-/// with the given window knob (a tiny cache keeps evictions in play mid-stream).
+/// Builds a small file-backed sketch whose log drains through a coordinator with the
+/// given window knob (a tiny cache keeps evictions in play mid-stream).
 fn build(path: &Path, knob: GroupCommit) -> GssSketch {
-    GssSketch::with_storage_durability_grouped(
+    GssSketch::with_storage_grouped(
         GssConfig::paper_small(24),
         StorageBackend::File { path: path.to_path_buf(), cache_pages: 2 },
-        Durability::Strict,
         GroupCommitter::new(knob),
     )
     .unwrap()

@@ -2,8 +2,8 @@
 //!
 //! Three claims, each of which is a bullet of the multi-tenancy contract:
 //!
-//! 1. Namespaces with different durability knobs ingest **concurrently** without
-//!    seeing each other's data.
+//! 1. Namespaces with different shard, width and group-commit knobs ingest
+//!    **concurrently** without seeing each other's data.
 //! 2. Poisoning one tenant's storage (deterministic fault injection scoped by the
 //!    tenant's path token — the same `path=` grammar `GSS_FAULT_PLAN` accepts)
 //!    fail-stops that tenant with a typed `0x02xx` error while its neighbour keeps
@@ -25,17 +25,17 @@ fn boot(dir: &Path, config: &str) -> ServerHandle {
 }
 
 #[test]
-fn tenants_with_different_durability_ingest_concurrently_and_stay_disjoint() {
+fn tenants_with_different_settings_ingest_concurrently_and_stay_disjoint() {
     let dir = temp_dir("concurrent");
     std::fs::remove_dir_all(&dir).ok();
     let handle = boot(
         &dir,
-        "tenant strict-t token=s-secret durability=strict shards=2 width=64\n\
-         tenant buffered-t token=b-secret durability=buffered shards=2 width=64",
+        "tenant alpha-t token=a-secret durability=strict shards=2 width=64\n\
+         tenant beta-t token=b-secret shards=1 width=128 group_delay_us=0 group_bytes=0",
     );
     let addr = handle.addr();
 
-    let threads: Vec<_> = [("strict-t", "s-secret", 1000u64), ("buffered-t", "b-secret", 2000)]
+    let threads: Vec<_> = [("alpha-t", "a-secret", 1000u64), ("beta-t", "b-secret", 2000)]
         .into_iter()
         .map(|(tenant, token, base)| {
             std::thread::spawn(move || {
@@ -56,20 +56,20 @@ fn tenants_with_different_durability_ingest_concurrently_and_stay_disjoint() {
     assert_eq!(stats[1].items_inserted, 200);
 
     // Each tenant sees its own edges and none of the other's.
-    let mut strict = GssClient::connect(addr).unwrap();
-    strict.hello("strict-t", "s-secret").unwrap();
-    assert!(strict.edge(1000, 1001).unwrap().is_some());
-    assert_eq!(strict.edge(2000, 2001).unwrap(), None, "tenants share no data");
-    let mut buffered = GssClient::connect(addr).unwrap();
-    buffered.hello("buffered-t", "b-secret").unwrap();
-    assert!(buffered.edge(2000, 2001).unwrap().is_some());
-    assert_eq!(buffered.edge(1000, 1001).unwrap(), None, "tenants share no data");
+    let mut alpha = GssClient::connect(addr).unwrap();
+    alpha.hello("alpha-t", "a-secret").unwrap();
+    assert!(alpha.edge(1000, 1001).unwrap().is_some());
+    assert_eq!(alpha.edge(2000, 2001).unwrap(), None, "tenants share no data");
+    let mut beta = GssClient::connect(addr).unwrap();
+    beta.hello("beta-t", "b-secret").unwrap();
+    assert!(beta.edge(2000, 2001).unwrap().is_some());
+    assert_eq!(beta.edge(1000, 1001).unwrap(), None, "tenants share no data");
 
-    // The wire-visible ack semantics differ per the durability knob.
-    let strict_ack = strict.ingest(&[(9000, 9001, 1)]).unwrap();
-    assert_eq!(strict_ack.durability, gss_server::protocol::DURABILITY_STRICT);
-    let buffered_ack = buffered.ingest(&[(9100, 9101, 1)]).unwrap();
-    assert_eq!(buffered_ack.durability, gss_server::protocol::DURABILITY_BUFFERED);
+    // Every tenant acknowledges with the one wire durability byte.
+    for client in [&mut alpha, &mut beta] {
+        let ack = client.ingest(&[(9000, 9001, 1)]).unwrap();
+        assert_eq!(ack.durability, gss_server::protocol::DURABILITY_STRICT);
+    }
 
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();

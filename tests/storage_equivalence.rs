@@ -15,7 +15,7 @@
 //! [`read_snapshot_from`]: gss_core::GssSketch::read_snapshot_from
 
 use gss::prelude::*;
-use gss_core::{Durability, ShardedGss, StorageBackend};
+use gss_core::{ShardedGss, StorageBackend};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -199,8 +199,8 @@ fn shard_path(base: &std::path::Path, index: usize) -> PathBuf {
 }
 
 /// The concurrency acceptance property: M writer threads and N reader threads over one
-/// file-backed sharded sketch (buffered durability, tiny page caches, so faults, evictions
-/// and background write-back all run under contention) leave exactly the state a memory
+/// file-backed sharded sketch (tiny page caches, so faults, evictions and write-back all
+/// run under contention) leave exactly the state a memory
 /// sketch and an exact reference hold — live, and again after drop-and-reopen.
 #[test]
 fn concurrent_writers_and_readers_match_memory_and_reopen() {
@@ -212,11 +212,10 @@ fn concurrent_writers_and_readers_match_memory_and_reopen() {
     let items = deterministic_stream(3_000, 48, 0x5EED_CAFE);
     let reference = exact_weights(&items);
 
-    let sharded = ShardedGss::with_storage_durability(
+    let sharded = ShardedGss::with_storage(
         config,
         SHARDS,
         &StorageBackend::File { path: base.clone(), cache_pages: 4 },
-        Durability::Buffered,
     )
     .unwrap();
     let stop = Arc::new(AtomicBool::new(false));
@@ -303,8 +302,8 @@ fn concurrent_writers_and_readers_match_memory_and_reopen() {
     }
 }
 
-/// Crash half of the property: strict-durability concurrent writers, then a simulated
-/// kill (no checkpoint, background queues discarded) — reopening recovers every
+/// Crash half of the property: concurrent writers, then a simulated kill (no
+/// checkpoint) — reopening recovers every
 /// acknowledged insert from the write-ahead logs.
 #[test]
 fn concurrent_strict_writers_lose_nothing_across_a_simulated_crash() {
@@ -315,11 +314,10 @@ fn concurrent_strict_writers_lose_nothing_across_a_simulated_crash() {
     let items = deterministic_stream(800, 32, 0xDEAD_5EED);
     let reference = exact_weights(&items);
 
-    let sharded = ShardedGss::with_storage_durability(
+    let sharded = ShardedGss::with_storage(
         config,
         SHARDS,
         &StorageBackend::File { path: base.clone(), cache_pages: 4 },
-        Durability::Strict,
     )
     .unwrap();
     let writers: Vec<_> = items
