@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Throughput regression guard: compare freshly measured bench reports against the
-# committed trajectory and fail when smoke ingest throughput drops by more than the
-# tolerance (CI boxes are noisy; 30% is a regression, not jitter).
+# committed trajectory and fail when smoke ingest or query throughput drops by more than
+# the tolerance (CI boxes are noisy; 30% is a regression, not jitter).
 #
 # Accepts one or more <committed, fresh> pairs, so the memory trajectory
-# (BENCH_ingest.json), the file-backed trajectory (BENCH_ingest_file.json) and the
-# durability trajectory (BENCH_durability.json) are guarded by one invocation.
+# (BENCH_ingest.json), the file-backed trajectory (BENCH_ingest_file.json), the
+# durability trajectory (BENCH_durability.json) and the query trajectory
+# (BENCH_query.json) are guarded by one invocation.
 #
 # Ingest reports: the single-thread sharded rate is the hard gate; the 4- and 8-writer
 # sharded rates are printed so the multi-writer trajectory is tracked per PR (they
@@ -15,6 +16,10 @@
 # Durability reports (detected via `"bench": "durability"`): the Strict file-ingest
 # rate is the hard gate — it is the number group commit exists to protect — and the
 # in-memory rate gates softly the same way.
+#
+# Query reports (detected via `"bench": "query"`): the file backend's precursor and
+# successor rates at the dense load point (load factor ≥ 0.5, where precursor queries
+# read their columns in one page-grouped pass) are hard gates.
 #
 # Usage: ci/bench_guard.sh <committed json> <fresh json> [<committed json> <fresh json>]...
 set -euo pipefail
@@ -43,9 +48,15 @@ extract_named() { # <file> <name>
     grep -o '"mitems_per_sec": [0-9.]*' | head -1 | grep -o '[0-9.]*$'
 }
 
+# Query rows: the file backend's row at the dense (≥ 0.5) load point.
+extract_dense_query() { # <file> <metric>
+  grep -o '"name": "file", "load_factor": 0\.[5-9][^}]*' "$1" |
+    grep -o "\"$2\": [0-9.]*" | head -1 | grep -o '[0-9.]*$' || true
+}
+
 # Gates fresh ≥ committed × tolerance; prints the comparison. Returns 1 on regression.
-gate() { # <label> <committed rate> <fresh rate>
-  echo "bench guard: $1 committed ${2} Mitems/s, fresh ${3} Mitems/s (tolerance ${TOLERANCE}x)"
+gate() { # <label> <committed rate> <fresh rate> [unit]
+  echo "bench guard: $1 committed ${2} ${4:-Mitems/s}, fresh ${3} ${4:-Mitems/s} (tolerance ${TOLERANCE}x)"
   awk -v a="$2" -v b="$3" -v t="$TOLERANCE" 'BEGIN { exit !(b + 0 >= a * t) }'
 }
 
@@ -75,6 +86,21 @@ while [ "$#" -gt 0 ]; do
       echo "bench guard [$fresh]: ingest_memory collapsed vs the committed point"
       failures=$((failures + 1))
     fi
+    continue
+  fi
+  if grep -q '"bench": "query"' "$fresh"; then
+    for metric in precursor_qps successor_qps; do
+      old_q=$(extract_dense_query "$baseline" "$metric")
+      new_q=$(extract_dense_query "$fresh" "$metric")
+      if [ -z "$old_q" ] || [ -z "$new_q" ]; then
+        echo "bench guard: could not extract the dense file $metric from" \
+          "$baseline/$fresh (old='$old_q' new='$new_q')"
+        failures=$((failures + 1))
+      elif ! gate "[$fresh] dense file $metric" "$old_q" "$new_q" "q/s"; then
+        echo "bench guard [$fresh]: dense file $metric regressed vs the committed trajectory"
+        failures=$((failures + 1))
+      fi
+    done
     continue
   fi
   old=$(extract "$baseline" 1)

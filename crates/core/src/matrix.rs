@@ -61,7 +61,7 @@ pub struct MemoryStore {
     rooms: Vec<Room>,
     occupied_rooms: usize,
     /// Bucket-occupancy bitmaps steering [`RoomStore::scan_row`] /
-    /// [`RoomStore::scan_column`] past empty buckets.
+    /// [`RoomStore::scan_columns`] past empty buckets.
     index: OccupancyIndex,
 }
 
@@ -204,7 +204,7 @@ impl MemoryStore {
 
     /// Iterates over the occupied rooms of matrix column `column` as `(row, &Room)` pairs
     /// by walking the full column — the index-free reference behaviour; the hot path is
-    /// the indexed [`RoomStore::scan_column`].
+    /// the indexed [`RoomStore::scan_columns`].
     pub fn column_rooms(&self, column: usize) -> impl Iterator<Item = (usize, &Room)> + '_ {
         (0..self.width).flat_map(move |row| {
             self.bucket(row, column)
@@ -334,20 +334,22 @@ impl RoomStore for MemoryStore {
         });
     }
 
-    fn scan_column(&self, column: usize, visit: &mut dyn FnMut(usize, Room)) {
-        if dense_scan(self.index.occupied_in_column(column), self.width) {
-            for (row, room) in self.column_rooms(column) {
-                visit(row, *room);
-            }
-            return;
-        }
-        self.index.for_each_in_column(column, |row| {
-            for room in self.bucket(row, column) {
-                if room.occupied {
-                    visit(row, *room);
+    fn scan_columns(&self, columns: &[usize], visit: &mut dyn FnMut(usize, usize, Room)) {
+        for (position, &column) in columns.iter().enumerate() {
+            if dense_scan(self.index.occupied_in_column(column), self.width) {
+                for (row, room) in self.column_rooms(column) {
+                    visit(position, row, *room);
                 }
+                continue;
             }
-        });
+            self.index.for_each_in_column(column, |row| {
+                for room in self.bucket(row, column) {
+                    if room.occupied {
+                        visit(position, row, *room);
+                    }
+                }
+            });
+        }
     }
 
     fn scan_occupied(&self, visit: &mut dyn FnMut(usize, usize, Room)) {
@@ -453,7 +455,7 @@ mod tests {
             assert_eq!(indexed, reference, "row {row}: dense and sparse paths agree");
         }
         let mut column3 = Vec::new();
-        matrix.scan_column(3, &mut |row, room| column3.push((row, room.weight)));
+        matrix.scan_columns(&[3], &mut |_, row, room| column3.push((row, room.weight)));
         assert_eq!(column3, vec![(4, 103), (6, 11)]);
     }
 

@@ -63,6 +63,9 @@ impl PageSlot {
 
 struct Stripe {
     slots: Mutex<HashMap<u64, Arc<PageSlot>>>,
+    /// This stripe's share of the page budget (the shares sum to the cache capacity; a
+    /// stripe may briefly exceed its share while every resident slot is pinned).
+    capacity: usize,
 }
 
 /// A pinned-page cursor: remembers the slot of the last page it resolved, so a run of
@@ -86,9 +89,6 @@ impl PageCursor {
 /// The striped page table (see the module docs).
 pub struct PageCache {
     stripes: Box<[Stripe]>,
-    /// Page capacity of each stripe (total budget divided evenly; a stripe may briefly
-    /// exceed it while every resident slot is pinned).
-    per_stripe_capacity: usize,
     /// Monotonic recency clock shared by all stripes.
     clock: AtomicU64,
     lookups: AtomicU64,
@@ -98,14 +98,19 @@ pub struct PageCache {
 
 impl PageCache {
     /// A cache holding at most `capacity_pages` pages (clamped to at least 1).  Small
-    /// caches get a single stripe so the page budget stays exact; larger ones get up to
-    /// 16 so concurrent faults spread across locks.
+    /// caches get a single stripe; larger ones get up to 16 so concurrent faults spread
+    /// across locks, with per-stripe shares that sum exactly to the budget.
     pub fn new(capacity_pages: usize) -> Self {
         let capacity = capacity_pages.max(1);
         let stripes = (capacity / 4).next_power_of_two().clamp(1, 16);
         Self {
-            stripes: (0..stripes).map(|_| Stripe { slots: Mutex::new(HashMap::new()) }).collect(),
-            per_stripe_capacity: capacity.div_ceil(stripes),
+            // The first `capacity % stripes` stripes take one page more than the rest.
+            stripes: (0..stripes)
+                .map(|stripe| Stripe {
+                    slots: Mutex::new(HashMap::new()),
+                    capacity: capacity / stripes + usize::from(stripe < capacity % stripes),
+                })
+                .collect(),
             clock: AtomicU64::new(0),
             lookups: AtomicU64::new(0),
             faults: AtomicU64::new(0),
@@ -127,14 +132,15 @@ impl PageCache {
         let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         self.lookups.fetch_add(1, Ordering::Relaxed);
         let stripe_held = witness::acquire(LockClass::StripeMap);
-        let mut slots = self.stripe(index).slots.lock();
+        let stripe = self.stripe(index);
+        let mut slots = stripe.slots.lock();
         if let Some(slot) = slots.get(&index) {
             // relaxed: recency stamps feed the same approximate LRU as the clock.
             slot.stamp.store(tick, Ordering::Relaxed);
             return Ok(Arc::clone(slot));
         }
         self.faults.fetch_add(1, Ordering::Relaxed);
-        while slots.len() >= self.per_stripe_capacity {
+        while slots.len() >= stripe.capacity {
             let victim = slots
                 .iter()
                 .filter(|(_, slot)| Arc::strong_count(slot) == 1)
@@ -266,7 +272,7 @@ impl std::fmt::Debug for PageCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PageCache")
             .field("stripes", &self.stripes.len())
-            .field("per_stripe_capacity", &self.per_stripe_capacity)
+            .field("capacity", &self.stripes.iter().map(|stripe| stripe.capacity).sum::<usize>())
             .finish_non_exhaustive()
     }
 }
@@ -405,6 +411,20 @@ mod tests {
         assert_eq!(moved.index(), 6);
         cursor.release();
         assert!(cursor.slot.is_none());
+    }
+
+    #[test]
+    fn resident_pages_never_exceed_the_capacity() {
+        for capacity in [1usize, 9, 25, 100, 1024] {
+            let cache = PageCache::new(capacity);
+            let io = MemIo::new();
+            for index in 0..4 * capacity as u64 {
+                cache.lookup(index, &io).unwrap();
+            }
+            let resident: usize =
+                cache.stripes.iter().map(|stripe| stripe.slots.lock().len()).sum();
+            assert!(resident <= capacity, "{resident} pages resident in a {capacity}-page cache");
+        }
     }
 
     #[test]

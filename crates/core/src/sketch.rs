@@ -804,19 +804,17 @@ impl GssSketch {
         let mut result: Vec<u64> = Vec::new();
         let mut addresses = [0usize; crate::config::MAX_SEQUENCE_LENGTH];
         let count = self.scan_addresses_into(node, &mut addresses);
-        for (index, &column) in addresses[..count].iter().enumerate() {
-            self.matrix.scan_column(column, &mut |row, room| {
-                if room.destination_fingerprint == node.fingerprint
-                    && room.destination_index as usize == index
-                {
-                    result.push(self.recover_source_hash(
-                        row,
-                        room.source_fingerprint,
-                        room.source_index,
-                    ));
-                }
-            });
-        }
+        self.matrix.scan_columns(&addresses[..count], &mut |index, row, room| {
+            if room.destination_fingerprint == node.fingerprint
+                && room.destination_index as usize == index
+            {
+                result.push(self.recover_source_hash(
+                    row,
+                    room.source_fingerprint,
+                    room.source_index,
+                ));
+            }
+        });
         result.extend(self.buffer.precursors(node.hash));
         result.sort_unstable();
         result.dedup();

@@ -158,10 +158,11 @@ impl OccupancyIndex {
     }
 }
 
-/// Whether a row/column with `occupied_buckets` of `width` marked should be scanned with
-/// the naive linear walk instead of the occupancy bitmap: at ≥ 50% occupancy the bitmap's
-/// skip-ahead win shrinks toward 1× while its per-bucket word arithmetic (and, on the
-/// file backend, its non-sequential page visits) still cost — the dense escape hatch.
+/// Whether a row/column with `occupied_buckets` of `width` marked is dense, i.e. should
+/// be read bucket by bucket instead of through the occupancy bitmap: at ≥ 50% occupancy
+/// the bitmap's skip-ahead win shrinks toward 1× while its per-bucket word arithmetic
+/// still costs.  Dense rows take a linear walk; on the file backend a query's dense
+/// columns share one row-major, page-grouped pass ([`RoomStore::scan_columns`]).
 #[inline]
 pub(crate) fn dense_scan(occupied_buckets: usize, width: usize) -> bool {
     occupied_buckets * 2 >= width
@@ -464,8 +465,13 @@ pub trait RoomStore {
     fn store_room(&mut self, row: usize, column: usize, slot: usize, room: Room);
     /// Visits every occupied room of matrix row `row` as `(column, room)`.
     fn scan_row(&self, row: usize, visit: &mut dyn FnMut(usize, Room));
-    /// Visits every occupied room of matrix column `column` as `(row, room)`.
-    fn scan_column(&self, column: usize, visit: &mut dyn FnMut(usize, Room));
+    /// Visits every occupied room of each listed matrix column as `(position, row, room)`,
+    /// where `position` indexes `columns` — a precursor query passes its whole address
+    /// sequence in one call, and a column listed twice is visited once per position.
+    /// Each position's rooms arrive in ascending `(row, slot)` order; visits of
+    /// different positions may interleave, so a backend can read the listed columns
+    /// together (the file backend reads each page of a row's dense-column buckets once).
+    fn scan_columns(&self, columns: &[usize], visit: &mut dyn FnMut(usize, usize, Room));
     /// Visits every occupied room as `(row, column, room)`.
     fn scan_occupied(&self, visit: &mut dyn FnMut(usize, usize, Room));
 
@@ -742,8 +748,8 @@ impl RoomStore for RoomStorage {
         dispatch!(self, store => store.scan_row(row, visit))
     }
 
-    fn scan_column(&self, column: usize, visit: &mut dyn FnMut(usize, Room)) {
-        dispatch!(self, store => store.scan_column(column, visit))
+    fn scan_columns(&self, columns: &[usize], visit: &mut dyn FnMut(usize, usize, Room)) {
+        dispatch!(self, store => store.scan_columns(columns, visit))
     }
 
     fn scan_occupied(&self, visit: &mut dyn FnMut(usize, usize, Room)) {
@@ -921,7 +927,7 @@ mod tests {
         assert_eq!(indexed, naive);
         assert_eq!(indexed, vec![0, 4]);
         let mut indexed = Vec::new();
-        store.scan_column(4, &mut |row, _| indexed.push(row));
+        store.scan_columns(&[4], &mut |_, row, _| indexed.push(row));
         let mut naive = Vec::new();
         naive_scan_column(&store, 4, &mut |row, _| naive.push(row));
         assert_eq!(indexed, naive);

@@ -3,7 +3,8 @@
 //! the end-to-end life cycle every file-backed deployment goes through.
 
 use gss::prelude::*;
-use gss_core::StorageBackend;
+use gss_core::file_store::PAGE_BYTES;
+use gss_core::{StorageBackend, ROOM_RECORD_BYTES};
 use std::path::PathBuf;
 
 fn temp_dir() -> PathBuf {
@@ -145,5 +146,44 @@ fn snapshots_restore_onto_a_file_backend() {
     assert_eq!(reopened.stored_edges(), original.stored_edges());
     drop(reopened);
     std::fs::remove_file(&target).ok();
+    std::fs::remove_dir(&dir).ok();
+}
+
+#[test]
+fn a_dense_precursor_query_reads_each_page_of_a_row_once() {
+    let dir = temp_dir();
+    let path = dir.join("dense-precursor.gss");
+    // Width 360, l = 2: a row's records span 11,520 bytes, so any set of its buckets sits
+    // on at most ⌈360·2·16 / 4096⌉ + 1 = 4 pages.  The cache holds the whole matrix.
+    let config = GssConfig::paper_default(360);
+    let mut sketch = GssSketch::with_storage(
+        config,
+        StorageBackend::File { path: path.clone(), cache_pages: 1024 },
+    )
+    .unwrap();
+    let mut state = 11u64;
+    let edges: Vec<StreamEdge> = (0..160_000u64)
+        .map(|t| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            StreamEdge::new(state >> 40, (state >> 16) & 0xFF_FFFF, t, 1)
+        })
+        .collect();
+    sketch.insert_batch(&edges);
+    assert!(sketch.detailed_stats().matrix_load_factor >= 0.5, "every column is dense");
+
+    let vertex = edges[0].destination;
+    let warm = sketch.precursor_hashes(vertex);
+    let file = sketch.room_storage().as_file().expect("file-backed");
+    let before = file.page_stats().lookups;
+    assert_eq!(sketch.precursor_hashes(vertex), warm);
+    let lookups = file.page_stats().lookups - before;
+    let row_pages = (config.width * config.rooms * ROOM_RECORD_BYTES).div_ceil(PAGE_BYTES) + 1;
+    assert!(
+        lookups <= (config.width * row_pages) as u64,
+        "a dense precursor query made {lookups} page lookups, bound {}",
+        config.width * row_pages
+    );
+    drop(sketch);
+    std::fs::remove_file(&path).ok();
     std::fs::remove_dir(&dir).ok();
 }

@@ -3,8 +3,10 @@
 //!
 //! For any insert sequence and configuration, on the memory *and* the file backend:
 //!
-//! 1. the occupancy-indexed [`RoomStore::scan_row`]/[`scan_column`]/[`scan_occupied`]
-//!    visit exactly the rooms (same positions, same order) a naive full-grid scan visits;
+//! 1. the occupancy-indexed [`RoomStore::scan_row`]/[`scan_columns`]/[`scan_occupied`]
+//!    visit exactly the rooms (same positions, same order) a naive full-grid scan visits
+//!    — for `scan_columns`, per listed column, on lists mixing dense and sparse columns
+//!    and repeating columns;
 //! 2. the fused [`RoomStore::probe_bucket`] agrees with `find_match` followed by
 //!    `find_empty` on every bucket;
 //! 3. both properties survive `sync` → drop → [`GssSketch::open_file`] (the file backend
@@ -14,7 +16,7 @@
 //!    sketch re-snapshots to the very same bytes.
 //!
 //! [`RoomStore::scan_row`]: gss_core::RoomStore::scan_row
-//! [`scan_column`]: gss_core::RoomStore::scan_column
+//! [`scan_columns`]: gss_core::RoomStore::scan_columns
 //! [`scan_occupied`]: gss_core::RoomStore::scan_occupied
 //! [`RoomStore::probe_bucket`]: gss_core::RoomStore::probe_bucket
 //! [`GssSketch::open_file`]: gss_core::GssSketch::open_file
@@ -81,15 +83,24 @@ fn assert_scans_match_naive(sketch: &GssSketch, label: &str) {
         store.scan_row_naive(row, &mut |column, room| dispatched.push((column, room)));
         assert_eq!(indexed, dispatched, "{label}: row {row} (backend-native naive)");
     }
-    for column in 0..width {
-        let mut indexed = Vec::new();
-        store.scan_column(column, &mut |row, room| indexed.push((row, room)));
-        let mut naive = Vec::new();
-        naive_scan_column(store, column, &mut |row, room| naive.push((row, room)));
-        assert_eq!(indexed, naive, "{label}: column {column}");
-        let mut dispatched = Vec::new();
-        store.scan_column_naive(column, &mut |row, room| dispatched.push((row, room)));
-        assert_eq!(indexed, dispatched, "{label}: column {column} (backend-native naive)");
+    // Column lists: every column at once (dense and sparse ones mixed), and a short list
+    // repeating columns the way an address sequence can.
+    let all_columns: Vec<usize> = (0..width).collect();
+    let repeated = [width - 1, 0, width / 2, 0, width - 1];
+    for columns in [&all_columns[..], &repeated[..]] {
+        let mut indexed = vec![Vec::new(); columns.len()];
+        store.scan_columns(columns, &mut |position, row, room| indexed[position].push((row, room)));
+        for (position, &column) in columns.iter().enumerate() {
+            let mut naive = Vec::new();
+            naive_scan_column(store, column, &mut |row, room| naive.push((row, room)));
+            assert_eq!(indexed[position], naive, "{label}: column {column} at {position}");
+            let mut dispatched = Vec::new();
+            store.scan_column_naive(column, &mut |row, room| dispatched.push((row, room)));
+            assert_eq!(
+                indexed[position], dispatched,
+                "{label}: column {column} at {position} (backend-native naive)"
+            );
+        }
     }
     // Full-matrix scan: same rooms in the same flat order as a naive row-major pass.
     let mut indexed_all = Vec::new();
