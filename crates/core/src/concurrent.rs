@@ -35,7 +35,8 @@
 //! without contention.
 
 use crate::config::{Durability, GroupCommit, GssConfig};
-use crate::error::ConfigError;
+use crate::error::{expect_written, ConfigError, GssError, StoreFault};
+use crate::file_store::{WalAck, WalAckHandle};
 use crate::group_commit::GroupCommitter;
 use crate::pager::witness::{self, LockClass};
 use crate::sketch::GssSketch;
@@ -54,7 +55,7 @@ pub struct ShardedGss {
     /// Per-shard lock-free commit acknowledgers (`None` for in-memory shards), captured
     /// at construction so the batched two-phase commit's acknowledgement pass never
     /// re-takes a shard lock.
-    ack_handles: Arc<Vec<Option<crate::file_store::WalAckHandle>>>,
+    ack_handles: Arc<Vec<Option<WalAckHandle>>>,
 }
 
 impl ShardedGss {
@@ -269,20 +270,32 @@ impl ShardedGss {
         (z % self.shards.len() as u64) as usize
     }
 
-    /// Inserts a stream item through a shared reference, locking only the owning shard.
+    /// Inserts a stream item through a shared reference, locking only the owning shard
+    /// ([`GssSketch::try_insert`] unwrapped at the one panic boundary).
     pub fn insert(&self, source: VertexId, destination: VertexId, weight: Weight) {
         let _shard_held = witness::acquire(LockClass::Shard);
-        self.shards[self.shard_index(source)].write().insert(source, destination, weight);
+        let mut shard = self.shards[self.shard_index(source)].write();
+        expect_written(shard.try_insert(source, destination, weight));
+    }
+
+    /// [`try_insert_batch`](Self::try_insert_batch) unwrapped at the one panic boundary.
+    pub fn insert_batch(&self, items: &[StreamEdge]) {
+        expect_written(self.try_insert_batch(items));
     }
 
     /// Inserts a batch through a shared reference: items are grouped by shard, then each
-    /// shard is locked once and fed its sub-batch via [`GssSketch::insert_batch`] — so a
-    /// batch both amortises hashing *and* takes each lock once instead of per item.
-    pub fn insert_batch(&self, items: &[StreamEdge]) {
+    /// shard is locked once and fed its sub-batch — so a batch both amortises hashing
+    /// *and* takes each lock once instead of per item.
+    ///
+    /// Shards fail independently: a fault poisons only its own shard, the remaining
+    /// shards still stage and acknowledge their sub-batches, and the **first** fault
+    /// encountered is returned as [`GssError::StoreFailed`].  A failed shard's sub-batch
+    /// may be partially applied and is never acknowledged; its
+    /// [`durability_report`](Self::durability_report) quantifies any breach.
+    pub fn try_insert_batch(&self, items: &[StreamEdge]) -> Result<(), GssError> {
         if self.shards.len() == 1 {
             let _shard_held = witness::acquire(LockClass::Shard);
-            self.shards[0].write().insert_batch(items);
-            return;
+            return self.shards[0].write().try_insert_batch(items);
         }
         // Not `vec![Vec::with_capacity(..); n]`: `Vec::clone` drops capacity, which would
         // silently discard the pre-sizing for every buffer but one.
@@ -312,7 +325,17 @@ impl ShardedGss {
             .map(|step| (start + step) % self.shards.len())
             .filter(|&index| !per_shard[index].is_empty())
             .collect();
-        let mut acks: Vec<(usize, crate::file_store::WalAck)> = Vec::with_capacity(pending.len());
+        let mut acks: Vec<(usize, WalAck)> = Vec::with_capacity(pending.len());
+        let mut first_fault: Option<StoreFault> = None;
+        let mut stage = |shard: &mut GssSketch, index: usize| {
+            let staged = shard.insert_batch_deferred(&per_shard[index]);
+            match staged {
+                Ok(ack) => acks.extend(ack.map(|ack| (index, ack))),
+                Err(fault) => {
+                    first_fault.get_or_insert(fault);
+                }
+            }
+        };
         // Opportunistic sweep first: take whichever shard locks are free right now, so a
         // writer never parks behind a peer while another shard's sub-batch could
         // proceed.  Whatever stays contended is processed blocking afterwards.
@@ -320,9 +343,7 @@ impl ShardedGss {
             let _shard_held = witness::acquire(LockClass::Shard);
             match self.shards[index].try_write() {
                 Some(mut shard) => {
-                    if let Some(ack) = shard.insert_batch_deferred(&per_shard[index]) {
-                        acks.push((index, ack));
-                    }
+                    stage(&mut shard, index);
                     false
                 }
                 None => true,
@@ -330,46 +351,12 @@ impl ShardedGss {
         });
         for index in pending {
             let _shard_held = witness::acquire(LockClass::Shard);
-            if let Some(ack) = self.shards[index].write().insert_batch_deferred(&per_shard[index]) {
-                acks.push((index, ack));
-            }
+            stage(&mut self.shards[index].write(), index);
         }
         for (index, ack) in acks {
             if let Some(handle) = &self.ack_handles[index] {
-                handle.ack(ack);
-            }
-        }
-    }
-
-    /// [`insert_batch`](Self::insert_batch) with typed fail-stop errors instead of the
-    /// storage-contract panics.  Shards fail independently: a fault poisons only its own
-    /// shard, the remaining shards still stage and acknowledge their sub-batches, and
-    /// the **first** fault encountered is returned.  A failed shard's sub-batch may be
-    /// partially applied and is never acknowledged; its
-    /// [`durability_report`](Self::durability_report) quantifies any breach.
-    pub fn try_insert_batch(&self, items: &[StreamEdge]) -> Result<(), crate::error::GssError> {
-        let mut per_shard: Vec<Vec<StreamEdge>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for item in items {
-            per_shard[self.shard_index(item.source)].push(*item);
-        }
-        let mut first_fault: Option<crate::error::StoreFault> = None;
-        let mut acks: Vec<(usize, crate::file_store::WalAck)> = Vec::new();
-        for (index, sub_batch) in per_shard.iter().enumerate() {
-            if sub_batch.is_empty() {
-                continue;
-            }
-            let _shard_held = witness::acquire(LockClass::Shard);
-            match self.shards[index].write().try_insert_batch_deferred(sub_batch) {
-                Ok(Some(ack)) => acks.push((index, ack)),
-                Ok(None) => {}
-                Err(fault) => first_fault = first_fault.or(Some(fault)),
-            }
-        }
-        for (index, ack) in acks {
-            if let Some(handle) = &self.ack_handles[index] {
-                if let Err(fault) = handle.try_ack(ack) {
-                    first_fault = first_fault.or(Some(fault));
+                if let Err(fault) = handle.ack(ack) {
+                    first_fault.get_or_insert(fault);
                 }
             }
         }
@@ -384,6 +371,7 @@ impl ShardedGss {
     pub fn durability_report(&self) -> crate::error::DurabilityReport {
         let mut total = crate::error::DurabilityReport::default();
         for shard in self.shards.iter() {
+            let _shard_held = witness::acquire(LockClass::Shard);
             let report = shard.read().durability_report();
             total.poisoned |= report.poisoned;
             if total.cause.is_none() {
@@ -424,15 +412,24 @@ impl ShardedGss {
     pub fn stats(&self) -> SummaryStats {
         self.shards
             .iter()
-            .map(|shard| shard.read().stats())
+            .map(|shard| {
+                let _shard_held = witness::acquire(LockClass::Shard);
+                shard.read().stats()
+            })
             .fold(SummaryStats::default(), |acc, stats| acc.merged_with(&stats))
     }
 
     /// Detailed statistics summed field-wise across shards (geometry fields are per-shard;
     /// vertices hashed in several shards are counted once per shard).
     pub fn detailed_stats(&self) -> GssStats {
-        let per_shard: Vec<GssStats> =
-            self.shards.iter().map(|shard| shard.read().detailed_stats()).collect();
+        let per_shard: Vec<GssStats> = self
+            .shards
+            .iter()
+            .map(|shard| {
+                let _shard_held = witness::acquire(LockClass::Shard);
+                shard.read().detailed_stats()
+            })
+            .collect();
         let mut total = per_shard[0];
         for stats in &per_shard[1..] {
             total.items_inserted += stats.items_inserted;
@@ -475,21 +472,31 @@ impl ShardedGss {
         f(&self.shards[index].read())
     }
 
-    /// Merges `sketches` into one, carrying the summed stream-item counter across (the
-    /// merge machinery replays stored edges and does not count items itself).
+    /// Merges `sketches` into one in-memory sketch, carrying the summed stream-item
+    /// counter across (the merge machinery replays stored edges and does not count items
+    /// itself).  The panic boundary never fires here: the shards share one configuration
+    /// by construction, and an in-memory sketch has no store to fault.
     fn merge_sketches(config: GssConfig, sketches: &[GssSketch]) -> GssSketch {
-        let mut merged = GssSketch::merge_all(config, sketches)
-            .expect("shards share one configuration by construction");
-        merged.set_items_inserted(sketches.iter().map(GssSketch::items_inserted).sum());
-        merged
+        let merge = || -> Result<GssSketch, GssError> {
+            let mut merged = GssSketch::merge_all(config, sketches)?;
+            merged.set_items_inserted(sketches.iter().map(GssSketch::items_inserted).sum())?;
+            Ok(merged)
+        };
+        expect_written(merge())
     }
 
     /// Merges all shards into a single sequential sketch through the merge machinery
     /// (shards share a configuration by construction, so merging cannot fail).  The
     /// merged sketch keeps the total `items_inserted` of all shards.
     pub fn merge(&self) -> GssSketch {
-        let sketches: Vec<GssSketch> =
-            self.shards.iter().map(|shard| shard.read().clone()).collect();
+        let sketches: Vec<GssSketch> = self
+            .shards
+            .iter()
+            .map(|shard| {
+                let _shard_held = witness::acquire(LockClass::Shard);
+                shard.read().clone()
+            })
+            .collect();
         Self::merge_sketches(self.config, &sketches)
     }
 
@@ -552,6 +559,7 @@ impl SummaryRead for ShardedGss {
     }
 
     fn name(&self) -> String {
+        let _shard_held = witness::acquire(LockClass::Shard);
         format!(
             "ShardedGss(shards={},{})",
             self.shard_count(),

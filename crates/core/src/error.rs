@@ -197,6 +197,18 @@ impl GssError {
     }
 }
 
+/// The one place where a store fault becomes a panic: the infallible write entry points
+/// (`SummaryWrite` on [`GssSketch`](crate::GssSketch), [`ShardedGss::insert`] and
+/// [`ShardedGss::insert_batch`]) unwrap their fallible twin through this, so every
+/// caller panics with the store's sticky cause.  (`ShardedGss::merge` unwraps its
+/// in-memory merge here too, where it never fires.)
+///
+/// [`ShardedGss::insert`]: crate::ShardedGss::insert
+/// [`ShardedGss::insert_batch`]: crate::ShardedGss::insert_batch
+pub(crate) fn expect_written<T>(result: Result<T, GssError>) -> T {
+    result.unwrap_or_else(|error| panic!("sketch write failed: {error}"))
+}
+
 /// The sticky per-store poison state: flipped by the first failed fsync or
 /// unrecoverable write-back, never cleared for the store's lifetime (a clean reopen
 /// builds a fresh store with fresh health).  Shared by the store and its write-ahead-log

@@ -87,9 +87,11 @@
 //! ([`crate::GssSketch::write_snapshot_to`]) to read a live sketch's state from another
 //! process.
 //!
-//! Runtime I/O failures (disk full, file removed under us) inside the [`RoomStore`] hot
-//! path panic with a descriptive message — the trait is infallible by design because the
-//! in-memory backend is; construction, open and sync report errors properly.
+//! Runtime I/O failures (disk full, file removed under us) on the [`RoomStore`] write
+//! methods — `probe_bucket`, `add_weight`, `store_room` — poison the store and return its
+//! sticky [`StoreFault`]; construction, open and sync report errors properly.  Reads and
+//! scans still panic through `io_fail` (after poisoning the store), because the read
+//! half of the trait stays infallible.
 
 use crate::config::{GroupCommit, GssConfig};
 use crate::error::{DurabilityReport, StoreFault, StoreHealth};
@@ -252,9 +254,9 @@ pub struct DurabilityStats {
     pub store_poisoned: u64,
 }
 
-/// The deferred half of a two-phase commit: [`FileStore::try_log_commit_deferred`] appends
-/// the commit frame and returns this token; [`FileStore::ack_commit`] consumes it to
-/// drain the log through the commit.  Multi-shard batches append every shard's frame
+/// The deferred half of a two-phase commit: [`FileStore::log_commit_deferred`] appends
+/// the commit frame and returns this token; [`WalAckHandle::ack`] consumes it to drain
+/// the log through the commit.  Multi-shard batches append every shard's frame
 /// before acknowledging any of them, so concurrent drain rounds cover each other's bytes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WalAck {
@@ -266,8 +268,8 @@ pub(crate) struct WalAck {
 }
 
 /// A lock-free acknowledger for one store's deferred commits: `Arc`s to the group-commit
-/// coordinator and the store's log membership — everything [`FileStore::ack_commit`]
-/// touches, none of it behind the sketch lock.  The sharded batch path captures one per
+/// coordinator and the store's log membership — everything an acknowledgement touches,
+/// none of it behind the sketch lock.  The sharded batch path captures one per
 /// shard at construction so its acknowledgement pass never re-takes a shard lock.
 #[derive(Clone)]
 pub(crate) struct WalAckHandle {
@@ -282,17 +284,14 @@ impl std::fmt::Debug for WalAckHandle {
 }
 
 impl WalAckHandle {
-    /// [`FileStore::ack_commit`] through the handle.  Hot-path I/O failures panic by the
-    /// storage contract, exactly as they do through the store.
-    pub(crate) fn ack(&self, ack: WalAck) {
-        self.try_ack(ack)
-            .unwrap_or_else(|fault| panic!("write-ahead-log group commit failed: {fault}"));
-    }
-
-    /// Fallible [`ack`](Self::ack): a failed drain or sync surfaces as the store's
-    /// sticky [`StoreFault`] instead of a panic.  On success the acknowledged items are
-    /// credited to the durability accounting.
-    pub(crate) fn try_ack(&self, ack: WalAck) -> Result<(), StoreFault> {
+    /// The acknowledgement half of a commit appended by
+    /// [`FileStore::log_commit_deferred`]: the commit's frames are in the log file before
+    /// this returns (the acknowledged items are now crash-safe), and the items are
+    /// credited to the durability accounting.  The drain runs through the group-commit
+    /// coordinator — concurrent shard commits share one drain round and one sync
+    /// cadence.  A failed drain or sync poisons the store and returns its sticky
+    /// [`StoreFault`].
+    pub(crate) fn ack(&self, ack: WalAck) -> Result<(), StoreFault> {
         self.wal.health().check()?;
         self.group.commit(&self.wal, ack.target).map_err(|error| {
             self.wal.health().poison(StoreFault::from_io("write-ahead-log group commit", &error))
@@ -819,7 +818,7 @@ impl FileStore {
         (row * self.width + column) * self.rooms_per_bucket + slot
     }
 
-    /// Unwraps a hot-path I/O result, panicking with context on failure (see module
+    /// Unwraps a read-path I/O result, panicking with context on failure (see module
     /// docs).  The store is poisoned *before* the panic unwinds, so concurrent threads
     /// and any catch-unwind boundary observe the typed fail-stop state, not just the
     /// panic message.
@@ -1004,9 +1003,8 @@ impl FileStore {
 
     /// Logs a left-over buffer insertion to the write-ahead log (the buffer itself lives
     /// in the sketch, not in room storage — only its durability passes through here):
-    /// fail-stop gated, and a failed unclean-flag write poisons the store instead of
-    /// panicking.
-    pub(crate) fn try_log_buffer_insert(
+    /// fail-stop gated, and a failed unclean-flag write poisons the store.
+    pub(crate) fn log_buffer_insert(
         &self,
         source: u64,
         destination: u64,
@@ -1024,7 +1022,7 @@ impl FileStore {
     }
 
     /// Logs a `⟨H(v), v⟩` registration to the write-ahead log (fail-stop gated).
-    pub(crate) fn try_log_node(&self, hash: u64, vertex: u64) -> Result<(), StoreFault> {
+    pub(crate) fn log_node(&self, hash: u64, vertex: u64) -> Result<(), StoreFault> {
         self.health.check()?;
         let frame = wal::node_frame(hash, vertex);
         let wal_held = witness::acquire(LockClass::WalAppend);
@@ -1041,16 +1039,16 @@ impl FileStore {
     /// reopen), with the append lock released before any I/O so encoding, the log write
     /// and the sync all run outside it.  Returns the total log bytes — so the sketch
     /// can trigger an automatic checkpoint when the log grows past its bound — plus the
-    /// [`WalAck`] token [`ack_commit`](Self::ack_commit) consumes to apply the
-    /// durability policy.  A multi-shard batch appends every shard's frame before
-    /// acknowledging any of them, so drain rounds led by concurrent writers cover the
-    /// earlier shards' bytes and most acknowledgements return on the coordinator's
-    /// already-drained fast path instead of leading a small round each.
+    /// [`WalAck`] token [`WalAckHandle::ack`] consumes to apply the durability policy.
+    /// A multi-shard batch appends every shard's frame before acknowledging any of them,
+    /// so drain rounds led by concurrent writers cover the earlier shards' bytes and most
+    /// acknowledgements return on the coordinator's already-drained fast path instead of
+    /// leading a small round each.
     ///
     /// Fail-stop gated, and the commit is registered with the durability accounting so
     /// [`durability_report`](Self::durability_report) can tell acknowledged items from
     /// durable ones.
-    pub(crate) fn try_log_commit_deferred(&self, items: u64) -> Result<(u64, WalAck), StoreFault> {
+    pub(crate) fn log_commit_deferred(&self, items: u64) -> Result<(u64, WalAck), StoreFault> {
         self.health.check()?;
         let frame = wal::commit_frame(items);
         let wal_held = witness::acquire(LockClass::WalAppend);
@@ -1068,112 +1066,6 @@ impl FileStore {
             result.map_err(|error: io::Error| self.poison_fault("unclean-flag write", &error))?;
         self.wal.record_commit(target, items);
         Ok((bytes, WalAck { target, items }))
-    }
-
-    /// The acknowledgement half of a commit appended by
-    /// [`try_log_commit_deferred`](Self::try_log_commit_deferred): the commit's frames
-    /// are in the log file before this returns (the acknowledged items are now
-    /// crash-safe).  The drain runs through the group-commit coordinator — concurrent
-    /// shard commits share one drain round and one sync cadence.
-    pub(crate) fn ack_commit(&self, ack: WalAck) {
-        let result = self.try_ack_commit(ack);
-        self.io_fail(result.map_err(|fault| fault.to_io()));
-    }
-
-    /// Fallible [`ack_commit`](Self::ack_commit): a failed drain or sync returns the
-    /// store's sticky [`StoreFault`]; on success the items are credited as acknowledged.
-    pub(crate) fn try_ack_commit(&self, ack: WalAck) -> Result<(), StoreFault> {
-        self.health.check()?;
-        self.group
-            .commit(&self.wal, ack.target)
-            .map_err(|error| self.poison_fault("write-ahead-log group commit", &error))?;
-        self.wal.record_ack(ack.items);
-        Ok(())
-    }
-
-    /// Fallible [`RoomStore::add_weight`]: fail-stop gated, poisons on failure instead
-    /// of panicking.
-    pub(crate) fn try_add_weight(
-        &mut self,
-        row: usize,
-        column: usize,
-        slot: usize,
-        weight: i64,
-    ) -> Result<(), StoreFault> {
-        self.health.check()?;
-        let index = self.room_index(row, column, slot);
-        self.read_room(index)
-            .and_then(|mut room| {
-                debug_assert!(room.occupied, "adding weight to an empty room");
-                room.weight += weight;
-                self.write_room(index, &room)
-            })
-            .map_err(|error| self.poison_fault("room write", &error))
-    }
-
-    /// Fallible [`RoomStore::store_room`]: fail-stop gated, poisons on failure instead
-    /// of panicking.
-    pub(crate) fn try_store_room(
-        &mut self,
-        row: usize,
-        column: usize,
-        slot: usize,
-        room: Room,
-    ) -> Result<(), StoreFault> {
-        self.health.check()?;
-        debug_assert!(room.occupied, "storing an unoccupied room");
-        let index = self.room_index(row, column, slot);
-        debug_assert!(
-            // An unreadable room is the write's problem, not the assert's.
-            self.read_room(index).map(|existing| !existing.occupied).unwrap_or(true),
-            "overwriting an occupied room"
-        );
-        self.write_room(index, &room).map_err(|error| self.poison_fault("room write", &error))?;
-        // relaxed: a monotone counter; the occupancy index, not this count, gates scans.
-        self.occupied_rooms.fetch_add(1, Ordering::Relaxed);
-        self.index.mark(row, column);
-        Ok(())
-    }
-
-    /// Fallible [`RoomStore::probe_bucket`]: the probe that opens every edge placement.
-    /// A cache miss here may have to evict a dirty page, so a latched write-back fault
-    /// (or a hard read fault) surfaces as the sticky [`StoreFault`] instead of the
-    /// infallible trait's panic — the typed fail-stop path runs through this.
-    pub(crate) fn try_probe_bucket(
-        &self,
-        row: usize,
-        column: usize,
-        source_fingerprint: u16,
-        destination_fingerprint: u16,
-        source_index: u8,
-        destination_index: u8,
-    ) -> Result<BucketProbe, StoreFault> {
-        self.health.check()?;
-        let start = self.room_index(row, column, 0);
-        let mut matched = None;
-        let mut first_empty = None;
-        self.scan_bucket(start, &mut |slot, room| {
-            if room.matches(
-                source_fingerprint,
-                destination_fingerprint,
-                source_index,
-                destination_index,
-            ) {
-                matched = Some(slot);
-                false
-            } else {
-                if !room.occupied && first_empty.is_none() {
-                    first_empty = Some(slot);
-                }
-                true
-            }
-        })
-        .map_err(|error| self.poison_fault("bucket probe page load", &error))?;
-        Ok(match (matched, first_empty) {
-            (Some(slot), _) => BucketProbe::Match(slot),
-            (None, Some(slot)) => BucketProbe::Empty(slot),
-            (None, None) => BucketProbe::Full,
-        })
     }
 
     /// A [`WalAckHandle`] for this store — acknowledges deferred commits without the
@@ -1604,26 +1496,73 @@ impl RoomStore for FileStore {
         destination_fingerprint: u16,
         source_index: u8,
         destination_index: u8,
-    ) -> BucketProbe {
-        let result = self.try_probe_bucket(
-            row,
-            column,
-            source_fingerprint,
-            destination_fingerprint,
-            source_index,
-            destination_index,
+    ) -> Result<BucketProbe, StoreFault> {
+        self.health.check()?;
+        let start = self.room_index(row, column, 0);
+        let mut matched = None;
+        let mut first_empty = None;
+        self.scan_bucket(start, &mut |slot, room| {
+            if room.matches(
+                source_fingerprint,
+                destination_fingerprint,
+                source_index,
+                destination_index,
+            ) {
+                matched = Some(slot);
+                false
+            } else {
+                if !room.occupied && first_empty.is_none() {
+                    first_empty = Some(slot);
+                }
+                true
+            }
+        })
+        .map_err(|error| self.poison_fault("bucket probe page load", &error))?;
+        Ok(match (matched, first_empty) {
+            (Some(slot), _) => BucketProbe::Match(slot),
+            (None, Some(slot)) => BucketProbe::Empty(slot),
+            (None, None) => BucketProbe::Full,
+        })
+    }
+
+    fn add_weight(
+        &mut self,
+        row: usize,
+        column: usize,
+        slot: usize,
+        weight: i64,
+    ) -> Result<(), StoreFault> {
+        self.health.check()?;
+        let index = self.room_index(row, column, slot);
+        self.read_room(index)
+            .and_then(|mut room| {
+                debug_assert!(room.occupied, "adding weight to an empty room");
+                room.weight += weight;
+                self.write_room(index, &room)
+            })
+            .map_err(|error| self.poison_fault("room write", &error))
+    }
+
+    fn store_room(
+        &mut self,
+        row: usize,
+        column: usize,
+        slot: usize,
+        room: Room,
+    ) -> Result<(), StoreFault> {
+        self.health.check()?;
+        debug_assert!(room.occupied, "storing an unoccupied room");
+        let index = self.room_index(row, column, slot);
+        debug_assert!(
+            // An unreadable room is the write's problem, not the assert's.
+            self.read_room(index).map(|existing| !existing.occupied).unwrap_or(true),
+            "overwriting an occupied room"
         );
-        self.io_fail(result.map_err(|fault| fault.to_io()))
-    }
-
-    fn add_weight(&mut self, row: usize, column: usize, slot: usize, weight: i64) {
-        let result = self.try_add_weight(row, column, slot, weight);
-        self.io_fail(result.map_err(|fault| fault.to_io()));
-    }
-
-    fn store_room(&mut self, row: usize, column: usize, slot: usize, room: Room) {
-        let result = self.try_store_room(row, column, slot, room);
-        self.io_fail(result.map_err(|fault| fault.to_io()));
+        self.write_room(index, &room).map_err(|error| self.poison_fault("room write", &error))?;
+        // relaxed: a monotone counter; the occupancy index, not this count, gates scans.
+        self.occupied_rooms.fetch_add(1, Ordering::Relaxed);
+        self.index.mark(row, column);
+        Ok(())
     }
 
     fn scan_row(&self, row: usize, visit: &mut dyn FnMut(usize, Room)) {
@@ -1679,9 +1618,9 @@ mod tests {
             assert_eq!(store.room_count(), 8 * 8 * 2);
             assert_eq!(store.occupied_rooms(), 0);
             assert_eq!(store.find_empty(3, 5), Some(0));
-            store.store_room(3, 5, 0, sample_room(42));
-            store.store_room(7, 0, 1, sample_room(-7));
-            store.add_weight(3, 5, 0, 8);
+            store.store_room(3, 5, 0, sample_room(42)).unwrap();
+            store.store_room(7, 0, 1, sample_room(-7)).unwrap();
+            store.add_weight(3, 5, 0, 8).unwrap();
             assert_eq!(store.room(3, 5, 0).weight, 50);
             assert_eq!(store.find_match(3, 5, 17, 23, 1, 2), Some(0));
             assert_eq!(store.find_empty(3, 5), Some(1));
@@ -1709,7 +1648,7 @@ mod tests {
         let config = GssConfig::paper_default(40);
         let mut store = FileStore::create(&path, &config, 1).unwrap();
         for row in 0..40 {
-            store.store_room(row, (row * 7) % 40, 0, sample_room(row as i64 + 1));
+            store.store_room(row, (row * 7) % 40, 0, sample_room(row as i64 + 1)).unwrap();
         }
         for row in 0..40 {
             assert_eq!(store.room(row, (row * 7) % 40, 0).weight, row as i64 + 1);
@@ -1729,9 +1668,9 @@ mod tests {
     fn row_and_column_scans_match_memory_semantics() {
         let path = temp_path("scan");
         let mut store = FileStore::create(&path, &GssConfig::paper_default(3), 8).unwrap();
-        store.store_room(1, 0, 0, sample_room(10));
-        store.store_room(1, 2, 1, sample_room(20));
-        store.store_room(0, 2, 0, sample_room(30));
+        store.store_room(1, 0, 0, sample_room(10)).unwrap();
+        store.store_room(1, 2, 1, sample_room(20)).unwrap();
+        store.store_room(0, 2, 0, sample_room(30)).unwrap();
         let mut row1 = Vec::new();
         store.scan_row(1, &mut |c, room| row1.push((c, room.weight)));
         assert_eq!(row1, vec![(0, 10), (2, 20)]);
@@ -1746,9 +1685,9 @@ mod tests {
         let path = temp_path("unclean");
         {
             let mut store = FileStore::create(&path, &GssConfig::paper_default(4), 2).unwrap();
-            store.store_room(0, 0, 0, sample_room(1));
-            let (_, ack) = store.try_log_commit_deferred(1).unwrap();
-            store.ack_commit(ack);
+            store.store_room(0, 0, 0, sample_room(1)).unwrap();
+            let (_, ack) = store.log_commit_deferred(1).unwrap();
+            store.ack_handle().ack(ack).unwrap();
             // No write_tail: the clean flag stays cleared, the room lives only in the
             // cache — and in the drained WAL.
         }
@@ -1761,7 +1700,7 @@ mod tests {
         // Same crash state but the log is gone: unrecoverable, rejected.
         {
             let mut store = FileStore::create(&path, &GssConfig::paper_default(4), 2).unwrap();
-            store.store_room(0, 0, 0, sample_room(1));
+            store.store_room(0, 0, 0, sample_room(1)).unwrap();
         }
         std::fs::remove_file(wal_path(&path)).unwrap();
         assert!(matches!(
@@ -1783,7 +1722,7 @@ mod tests {
         let config = GssConfig::paper_default(8);
         {
             let mut store = FileStore::create(&path, &config, 4).unwrap();
-            store.store_room(2, 3, 0, sample_room(9));
+            store.store_room(2, 3, 0, sample_room(9)).unwrap();
             store.write_tail(5, b"oldtail").unwrap();
         }
         // Rewrite the header as PR-3/4 would have written it: v1 magic, no section fields.
@@ -1816,7 +1755,7 @@ mod tests {
         let v1_tail = [0u8; 16];
         {
             let mut store = FileStore::create(&path, &config, 4).unwrap();
-            store.store_room(2, 3, 0, sample_room(9));
+            store.store_room(2, 3, 0, sample_room(9)).unwrap();
             store.write_tail(5, &v1_tail).unwrap();
         }
         let mut bytes = std::fs::read(&path).unwrap();
@@ -1830,9 +1769,9 @@ mod tests {
             // Open the v1 file (upgrading it), mutate, then crash before any checkpoint.
             let (mut store, header) = FileStore::open(&path, 4).unwrap();
             assert_eq!(header.tail, v1_tail);
-            store.store_room(1, 1, 0, sample_room(4));
-            let (_, ack) = store.try_log_commit_deferred(6).unwrap();
-            store.ack_commit(ack);
+            store.store_room(1, 1, 0, sample_room(4)).unwrap();
+            let (_, ack) = store.log_commit_deferred(6).unwrap();
+            store.ack_handle().ack(ack).unwrap();
         }
         let (recovered, header) = FileStore::open(&path, 4).unwrap();
         assert!(header.recovered, "the acknowledged mutation survives the crash");
@@ -1848,7 +1787,7 @@ mod tests {
         let path = temp_path("truncated");
         {
             let mut store = FileStore::create(&path, &GssConfig::paper_default(32), 2).unwrap();
-            store.store_room(0, 0, 0, sample_room(1));
+            store.store_room(0, 0, 0, sample_room(1)).unwrap();
             store.write_tail(1, b"abc").unwrap();
         }
         let bytes = std::fs::read(&path).unwrap();
@@ -1886,9 +1825,9 @@ mod tests {
         let path = temp_path("index-rebuild");
         {
             let mut store = FileStore::create(&path, &GssConfig::paper_default(48), 4).unwrap();
-            store.store_room(7, 11, 0, sample_room(5));
-            store.store_room(7, 40, 1, sample_room(6));
-            store.store_room(33, 11, 0, sample_room(7));
+            store.store_room(7, 11, 0, sample_room(5)).unwrap();
+            store.store_room(7, 40, 1, sample_room(6)).unwrap();
+            store.store_room(33, 11, 0, sample_room(7)).unwrap();
             store.write_tail(3, &[]).unwrap();
         }
         let (reopened, _) = FileStore::open(&path, 4).unwrap();
@@ -1920,7 +1859,7 @@ mod tests {
         let path = temp_path("occupancy-mismatch");
         {
             let mut store = FileStore::create(&path, &GssConfig::paper_default(8), 4).unwrap();
-            store.store_room(1, 1, 0, sample_room(1));
+            store.store_room(1, 1, 0, sample_room(1)).unwrap();
             store.write_tail(1, &[]).unwrap();
         }
         let mut bytes = std::fs::read(&path).unwrap();
@@ -1993,15 +1932,15 @@ mod tests {
         );
         let config = GssConfig::paper_default(8);
         let mut store = FileStore::create(&path, &config, 4).unwrap();
-        store.store_room(0, 0, 0, sample_room(7));
-        let (_, ack) = store.try_log_commit_deferred(1).unwrap();
+        store.store_room(0, 0, 0, sample_room(7)).unwrap();
+        let (_, ack) = store.log_commit_deferred(1).unwrap();
         // The acknowledgement drains the log, which hits the injected EIO.
-        let fault = store.try_ack_commit(ack).expect_err("injected drain failure must surface");
+        let fault = store.ack_handle().ack(ack).expect_err("injected drain failure must surface");
         assert!(store.health().is_poisoned());
         // Writes fail-stop with the sticky cause...
-        let sticky = store.try_store_room(0, 1, 0, sample_room(1)).unwrap_err();
+        let sticky = store.store_room(0, 1, 0, sample_room(1)).unwrap_err();
         assert_eq!(sticky.kind(), fault.kind());
-        assert!(store.try_log_commit_deferred(2).is_err());
+        assert!(store.log_commit_deferred(2).is_err());
         // ...reads keep serving from cache...
         assert_eq!(store.room(0, 0, 0).weight, 7);
         // ...and the report is honest: the failed commit was never acknowledged, so
@@ -2023,7 +1962,7 @@ mod tests {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
         store.set_flush_hook(Some(Box::new(move |point| sink.lock().push(point))));
-        store.store_room(0, 0, 0, sample_room(3));
+        store.store_room(0, 0, 0, sample_room(3)).unwrap();
         store.write_tail(1, b"t").unwrap();
         let seen = seen.lock().clone();
         assert_eq!(
@@ -2043,7 +1982,7 @@ mod tests {
         let path = temp_path("concurrent-readers");
         let mut store = FileStore::create(&path, &GssConfig::paper_default(48), 64).unwrap();
         for row in 0..48 {
-            store.store_room(row, (row * 5) % 48, 0, sample_room(row as i64 + 1));
+            store.store_room(row, (row * 5) % 48, 0, sample_room(row as i64 + 1)).unwrap();
         }
         // Warm the cache: 48·48·2 rooms = 72 KiB = 18 pages, well under the 64-page
         // budget, so the reader threads below run pure hits under shared read latches.
@@ -2083,10 +2022,10 @@ mod tests {
         let mut store = FileStore::create(&path, &GssConfig::paper_default(8), 8).unwrap();
         // Row 2: 6 of 8 buckets occupied — well past the 50% dense threshold.
         for column in 0..6 {
-            store.store_room(2, column, 0, sample_room(column as i64 + 100));
+            store.store_room(2, column, 0, sample_room(column as i64 + 100)).unwrap();
         }
         // Row 5 stays sparse (1 of 8): exercises the bitmap path in the same store.
-        store.store_room(5, 3, 0, sample_room(7));
+        store.store_room(5, 3, 0, sample_room(7)).unwrap();
         for row in [2usize, 5] {
             let mut indexed = Vec::new();
             store.scan_row(row, &mut |column, room| indexed.push((column, room.weight)));
@@ -2111,8 +2050,8 @@ mod tests {
             let mut memory = MemoryStore::new(360, rooms);
             let mut store_both = |row: usize, column: usize, slot: usize| {
                 let room = sample_room((row * 10_000 + column * 10 + slot) as i64);
-                file.store_room(row, column, slot, room);
-                memory.store_room(row, column, slot, room);
+                file.store_room(row, column, slot, room).unwrap();
+                memory.store_room(row, column, slot, room).unwrap();
             };
             for row in 0..360 {
                 for (skew, &column) in dense_columns.iter().enumerate() {

@@ -15,6 +15,7 @@
 //! [`MemoryStore`] is the dense default backend of the [`RoomStore`] abstraction; the
 //! paged file backend lives in [`crate::file_store`].
 
+use crate::error::StoreFault;
 use crate::storage::{dense_scan, BucketProbe, OccupancyIndex, RoomStore};
 use serde::{Deserialize, Serialize};
 
@@ -147,38 +148,14 @@ impl MemoryStore {
         self.bucket(row, column).iter().position(|room| !room.occupied)
     }
 
-    /// Adds `weight` to the room at `slot` in bucket `(row, column)`.
-    pub fn add_weight(&mut self, row: usize, column: usize, slot: usize, weight: i64) {
+    /// Writes a fresh edge into the (empty) room at `slot` in bucket `(row, column)` —
+    /// the infallible body of [`RoomStore::store_room`].
+    pub fn store(&mut self, row: usize, column: usize, slot: usize, room: Room) {
+        debug_assert!(room.occupied, "storing an unoccupied room");
         let start = self.bucket_start(row, column);
-        let room = &mut self.rooms[start + slot];
-        debug_assert!(room.occupied, "adding weight to an empty room");
-        room.weight += weight;
-    }
-
-    /// Writes a fresh edge into the room at `slot` in bucket `(row, column)`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn store(
-        &mut self,
-        row: usize,
-        column: usize,
-        slot: usize,
-        source_fingerprint: u16,
-        destination_fingerprint: u16,
-        source_index: u8,
-        destination_index: u8,
-        weight: i64,
-    ) {
-        let start = self.bucket_start(row, column);
-        let room = &mut self.rooms[start + slot];
-        debug_assert!(!room.occupied, "overwriting an occupied room");
-        *room = Room {
-            source_fingerprint,
-            destination_fingerprint,
-            source_index,
-            destination_index,
-            weight,
-            occupied: true,
-        };
+        let target = &mut self.rooms[start + slot];
+        debug_assert!(!target.occupied, "overwriting an occupied room");
+        *target = room;
         self.occupied_rooms += 1;
         self.index.mark(row, column);
     }
@@ -278,7 +255,7 @@ impl RoomStore for MemoryStore {
         destination_fingerprint: u16,
         source_index: u8,
         destination_index: u8,
-    ) -> BucketProbe {
+    ) -> Result<BucketProbe, StoreFault> {
         let mut first_empty = None;
         for (slot, room) in self.bucket(row, column).iter().enumerate() {
             if room.matches(
@@ -287,31 +264,38 @@ impl RoomStore for MemoryStore {
                 source_index,
                 destination_index,
             ) {
-                return BucketProbe::Match(slot);
+                return Ok(BucketProbe::Match(slot));
             }
             if !room.occupied && first_empty.is_none() {
                 first_empty = Some(slot);
             }
         }
-        first_empty.map_or(BucketProbe::Full, BucketProbe::Empty)
+        Ok(first_empty.map_or(BucketProbe::Full, BucketProbe::Empty))
     }
 
-    fn add_weight(&mut self, row: usize, column: usize, slot: usize, weight: i64) {
-        MemoryStore::add_weight(self, row, column, slot, weight);
+    fn add_weight(
+        &mut self,
+        row: usize,
+        column: usize,
+        slot: usize,
+        weight: i64,
+    ) -> Result<(), StoreFault> {
+        let start = self.bucket_start(row, column);
+        let room = &mut self.rooms[start + slot];
+        debug_assert!(room.occupied, "adding weight to an empty room");
+        room.weight += weight;
+        Ok(())
     }
 
-    fn store_room(&mut self, row: usize, column: usize, slot: usize, room: Room) {
-        debug_assert!(room.occupied, "storing an unoccupied room");
-        self.store(
-            row,
-            column,
-            slot,
-            room.source_fingerprint,
-            room.destination_fingerprint,
-            room.source_index,
-            room.destination_index,
-            room.weight,
-        );
+    fn store_room(
+        &mut self,
+        row: usize,
+        column: usize,
+        slot: usize,
+        room: Room,
+    ) -> Result<(), StoreFault> {
+        self.store(row, column, slot, room);
+        Ok(())
     }
 
     fn scan_row(&self, row: usize, visit: &mut dyn FnMut(usize, Room)) {
@@ -375,6 +359,22 @@ impl RoomStore for MemoryStore {
 mod tests {
     use super::*;
 
+    fn room(
+        source_fingerprint: u16,
+        destination_fingerprint: u16,
+        indices: (u8, u8),
+        weight: i64,
+    ) -> Room {
+        Room {
+            source_fingerprint,
+            destination_fingerprint,
+            source_index: indices.0,
+            destination_index: indices.1,
+            weight,
+            occupied: true,
+        }
+    }
+
     #[test]
     fn new_matrix_is_empty() {
         let matrix = BucketMatrix::new(4, 2);
@@ -390,7 +390,7 @@ mod tests {
     fn store_and_find_round_trip() {
         let mut matrix = BucketMatrix::new(4, 2);
         assert_eq!(matrix.find_empty(1, 2), Some(0));
-        matrix.store(1, 2, 0, 10, 20, 3, 4, 7);
+        matrix.store(1, 2, 0, room(10, 20, (3, 4), 7));
         assert_eq!(matrix.find_match(1, 2, 10, 20, 3, 4), Some(0));
         assert_eq!(matrix.find_match(1, 2, 10, 20, 3, 5), None);
         assert_eq!(matrix.find_match(1, 2, 11, 20, 3, 4), None);
@@ -403,16 +403,16 @@ mod tests {
     #[test]
     fn add_weight_accumulates() {
         let mut matrix = BucketMatrix::new(2, 1);
-        matrix.store(0, 1, 0, 1, 2, 0, 0, 5);
-        matrix.add_weight(0, 1, 0, 3);
+        matrix.store(0, 1, 0, room(1, 2, (0, 0), 5));
+        matrix.add_weight(0, 1, 0, 3).unwrap();
         assert_eq!(matrix.bucket(0, 1)[0].weight, 8);
     }
 
     #[test]
     fn full_bucket_has_no_empty_room() {
         let mut matrix = BucketMatrix::new(2, 2);
-        matrix.store(0, 0, 0, 1, 1, 0, 0, 1);
-        matrix.store(0, 0, 1, 2, 2, 0, 0, 1);
+        matrix.store(0, 0, 0, room(1, 1, (0, 0), 1));
+        matrix.store(0, 0, 1, room(2, 2, (0, 0), 1));
         assert_eq!(matrix.find_empty(0, 0), None);
         assert_eq!(matrix.load_factor(), 2.0 / 8.0);
     }
@@ -420,9 +420,9 @@ mod tests {
     #[test]
     fn row_and_column_iteration_report_positions() {
         let mut matrix = BucketMatrix::new(3, 2);
-        matrix.store(1, 0, 0, 5, 6, 1, 2, 10);
-        matrix.store(1, 2, 1, 7, 8, 3, 4, 20);
-        matrix.store(0, 2, 0, 9, 10, 5, 6, 30);
+        matrix.store(1, 0, 0, room(5, 6, (1, 2), 10));
+        matrix.store(1, 2, 1, room(7, 8, (3, 4), 20));
+        matrix.store(0, 2, 0, room(9, 10, (5, 6), 30));
 
         let row1: Vec<(usize, i64)> = matrix.row_rooms(1).map(|(c, r)| (c, r.weight)).collect();
         assert_eq!(row1, vec![(0, 10), (2, 20)]);
@@ -444,9 +444,9 @@ mod tests {
         let mut matrix = BucketMatrix::new(8, 2);
         // Row 4: 6 of 8 buckets occupied — past the 50% dense threshold; row 6 sparse.
         for column in 0..6 {
-            matrix.store(4, column, 0, 5, 6, 1, 2, column as i64 + 100);
+            matrix.store(4, column, 0, room(5, 6, (1, 2), column as i64 + 100));
         }
-        matrix.store(6, 3, 1, 7, 8, 3, 4, 11);
+        matrix.store(6, 3, 1, room(7, 8, (3, 4), 11));
         for row in [4usize, 6] {
             let mut indexed = Vec::new();
             matrix.scan_row(row, &mut |column, room| indexed.push((column, room.weight)));

@@ -13,7 +13,7 @@
 //! (Section I cites GraphX/Pregel-style systems) is realised here.
 
 use crate::config::GssConfig;
-use crate::error::ConfigError;
+use crate::error::{ConfigError, GssError};
 use crate::sketch::GssSketch;
 use gss_graph::Weight;
 
@@ -67,30 +67,33 @@ impl GssSketch {
     /// space.
     ///
     /// # Errors
-    /// Returns a [`ConfigError`] if the configurations differ.
-    pub fn merge_from(&mut self, other: &GssSketch) -> Result<(), ConfigError> {
+    /// Returns [`GssError::Config`] if the configurations differ, and
+    /// [`GssError::StoreFailed`] if `self` is file-backed and its store fails (the merge
+    /// may then be partially applied).
+    pub fn merge_from(&mut self, other: &GssSketch) -> Result<(), GssError> {
         if self.config() != other.config() {
-            return Err(ConfigError::new(format!(
+            return Err(GssError::Config(ConfigError::new(format!(
                 "cannot merge sketches with different configurations ({:?} vs {:?})",
                 self.config(),
                 other.config()
-            )));
+            ))));
         }
         // Replay the other sketch's edges through the normal insert path, in the hashed
         // space: we bypass re-hashing by inserting through a dedicated entry point.
         for edge in other.hashed_edges() {
-            self.insert_hashed(edge.source_hash, edge.destination_hash, edge.weight);
+            self.insert_hashed(edge.source_hash, edge.destination_hash, edge.weight)?;
         }
         // Carry the ⟨H(v), v⟩ table across so id translation keeps working.
-        self.absorb_node_map(other);
+        self.absorb_node_map(other)?;
         Ok(())
     }
 
     /// Merges a set of independently built sketches into a fresh one.
     ///
     /// # Errors
-    /// Returns a [`ConfigError`] if the sketches do not all share `config`.
-    pub fn merge_all(config: GssConfig, sketches: &[GssSketch]) -> Result<GssSketch, ConfigError> {
+    /// Returns [`GssError::Config`] if `config` is invalid or the sketches do not all
+    /// share it.
+    pub fn merge_all(config: GssConfig, sketches: &[GssSketch]) -> Result<GssSketch, GssError> {
         let mut merged = GssSketch::new(config)?;
         for sketch in sketches {
             merged.merge_from(sketch)?;

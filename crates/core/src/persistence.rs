@@ -26,6 +26,7 @@
 //! [`crate::file_store`]); the tail sections of that file reuse the buffer/node encoders
 //! below.
 
+use crate::error::StoreFault;
 use crate::matrix::Room;
 use crate::sketch::GssSketch;
 use crate::storage::{
@@ -75,6 +76,13 @@ impl From<io::Error> for PersistenceError {
         } else {
             Self::Io(error.to_string())
         }
+    }
+}
+
+/// A store fault while restoring onto a file backend is an I/O failure.
+impl From<StoreFault> for PersistenceError {
+    fn from(fault: StoreFault) -> Self {
+        Self::Io(fault.to_string())
     }
 }
 
@@ -262,7 +270,7 @@ impl GssSketch {
     ///
     /// # Errors
     /// As [`read_snapshot_from`](Self::read_snapshot_from), plus an
-    /// [`PersistenceError::Io`] if the target sketch file cannot be created.
+    /// [`PersistenceError::Io`] if the target sketch file cannot be created or written.
     pub fn read_snapshot_into(
         mut reader: impl Read,
         storage: crate::storage::StorageBackend,
@@ -273,8 +281,10 @@ impl GssSketch {
         }
         let config = decode_config(&read_array::<CONFIG_BYTES>(reader)?)?;
         let items_inserted = read_u64(reader)?;
+        // `decode_config` validated the configuration, so only creating the target
+        // sketch file can fail here.
         let mut sketch = GssSketch::with_storage(config, storage)
-            .map_err(|error| PersistenceError::InvalidConfig(error.to_string()))?;
+            .map_err(|error| PersistenceError::Io(error.to_string()))?;
 
         let room_count = read_u64(reader)?;
         let mut slots_used: std::collections::HashMap<(u32, u32), usize> =
@@ -301,7 +311,7 @@ impl GssSketch {
                     config.rooms
                 )));
             }
-            sketch.restore_room(row as usize, column as usize, *slot, room);
+            sketch.restore_room(row as usize, column as usize, *slot, room)?;
             *slot += 1;
         }
 
@@ -309,7 +319,7 @@ impl GssSketch {
             let (buffer, node_map) = sketch.tail_parts_mut();
             read_tail_sections(buffer, node_map, reader)?;
         }
-        sketch.set_items_inserted(items_inserted);
+        sketch.set_items_inserted(items_inserted)?;
         // The streamed tail content bypassed the write-ahead log (only live mutations
         // are logged), so a file-backed restore must checkpoint before it is handed
         // out — otherwise a crash before the caller's first sync would recover the

@@ -20,7 +20,7 @@
 
 use crate::buffer::LeftoverBuffer;
 use crate::config::{GroupCommit, GssConfig};
-use crate::error::{ConfigError, DurabilityReport, GssError, StoreFault};
+use crate::error::{expect_written, ConfigError, DurabilityReport, GssError, StoreFault};
 use crate::file_store::{FileStore, TailSections};
 use crate::group_commit::GroupCommitter;
 use crate::hashing::{HashedNode, NodeHasher, RecoverQCache};
@@ -513,25 +513,19 @@ impl GssSketch {
         source_hash: u64,
         destination_hash: u64,
         weight: Weight,
-    ) {
+    ) -> Result<(), StoreFault> {
         let source_node = self.hasher.split(source_hash);
         let destination_node = self.hasher.split(destination_hash);
-        self.insert_nodes(source_node, destination_node, weight);
+        self.insert_nodes(source_node, destination_node, weight)
     }
 
     /// Registers a `⟨H(v), v⟩` pair, bumping the node-section generation and write-ahead
     /// logging the registration when it is new — the single mutation point of the table.
-    fn register_node(&mut self, hash: u64, vertex: VertexId) {
-        self.try_register_node(hash, vertex)
-            .unwrap_or_else(|fault| panic!("node registration failed: {fault}"));
-    }
-
-    /// Fallible [`register_node`](Self::register_node): the typed fail-stop path.
-    fn try_register_node(&mut self, hash: u64, vertex: VertexId) -> Result<(), StoreFault> {
+    fn register_node(&mut self, hash: u64, vertex: VertexId) -> Result<(), StoreFault> {
         if self.node_map.register(hash, vertex) {
             self.node_gen += 1;
             if let RoomStorage::File(store) = &self.matrix {
-                store.try_log_node(hash, vertex)?;
+                store.log_node(hash, vertex)?;
             }
         }
         Ok(())
@@ -543,16 +537,9 @@ impl GssSketch {
     /// [`wal_checkpoint_bytes`](Self::set_wal_checkpoint_bytes) — long runs that never
     /// call [`sync`](Self::sync) still keep bounded sidecar-log size and bounded
     /// crash-recovery replay time.
-    fn commit_wal(&mut self) {
-        if let Some(ack) = self.commit_wal_deferred() {
-            self.ack_wal(ack);
-        }
-    }
-
-    /// Fallible [`commit_wal`](Self::commit_wal): the typed fail-stop path.
-    fn try_commit_wal(&mut self) -> Result<(), StoreFault> {
-        if let Some(ack) = self.try_commit_wal_deferred()? {
-            self.try_ack_wal(ack)?;
+    fn commit_wal(&mut self) -> Result<(), StoreFault> {
+        if let Some(ack) = self.commit_wal_deferred()? {
+            self.ack_wal(ack)?;
         }
         Ok(())
     }
@@ -562,25 +549,17 @@ impl GssSketch {
     /// [`ack_wal`](Self::ack_wal) once every shard of the batch has appended.  Returns
     /// `None` for in-memory sketches, and when the log outgrew its checkpoint bound —
     /// the automatic checkpoint runs inline (it needs the exclusive sketch lock still
-    /// held here) and leaves the log durable past the token's target anyway.
-    pub(crate) fn commit_wal_deferred(&mut self) -> Option<crate::file_store::WalAck> {
-        self.try_commit_wal_deferred()
-            .unwrap_or_else(|fault| panic!("write-ahead-log commit failed: {fault}"))
-    }
-
-    /// Fallible [`commit_wal_deferred`](Self::commit_wal_deferred): on a poisoned or
-    /// newly failing store the sticky [`StoreFault`] comes back instead of a panic —
-    /// including when the inline automatic checkpoint fails (the checkpoint poisons the
-    /// store, so the fault it latched is returned).
-    pub(crate) fn try_commit_wal_deferred(
-        &mut self,
-    ) -> Result<Option<crate::file_store::WalAck>, StoreFault> {
+    /// held here) and leaves the log durable past the token's target anyway.  On a
+    /// poisoned or newly failing store the sticky [`StoreFault`] comes back — including
+    /// when the inline automatic checkpoint fails (the checkpoint poisons the store, so
+    /// the fault it latched is returned).
+    fn commit_wal_deferred(&mut self) -> Result<Option<crate::file_store::WalAck>, StoreFault> {
         let (wal_bytes, ack) = match &self.matrix {
-            RoomStorage::File(store) => store.try_log_commit_deferred(self.items_inserted)?,
+            RoomStorage::File(store) => store.log_commit_deferred(self.items_inserted)?,
             RoomStorage::Memory(_) => return Ok(None),
         };
         if wal_bytes >= self.wal_checkpoint_bytes {
-            self.try_ack_wal(ack)?;
+            self.ack_wal(ack)?;
             // This is an insert/batch boundary, so the sketch state is consistent.
             if let Err(error) = self.sync() {
                 // The failed checkpoint poisoned the store; report its latched cause.
@@ -601,18 +580,10 @@ impl GssSketch {
     }
 
     /// The acknowledgement half of [`commit_wal_deferred`](Self::commit_wal_deferred):
-    /// drains the log through a deferred commit.  Takes `&self`, so the
-    /// acknowledgement pass can run under a shared sketch lock.
-    pub(crate) fn ack_wal(&self, ack: crate::file_store::WalAck) {
-        if let RoomStorage::File(store) = &self.matrix {
-            store.ack_commit(ack);
-        }
-    }
-
-    /// Fallible [`ack_wal`](Self::ack_wal): the typed fail-stop path.
-    pub(crate) fn try_ack_wal(&self, ack: crate::file_store::WalAck) -> Result<(), StoreFault> {
+    /// drains the log through a deferred commit.
+    fn ack_wal(&self, ack: crate::file_store::WalAck) -> Result<(), StoreFault> {
         match &self.matrix {
-            RoomStorage::File(store) => store.try_ack_commit(ack),
+            RoomStorage::File(store) => store.ack_handle().ack(ack),
             RoomStorage::Memory(_) => Ok(()),
         }
     }
@@ -633,12 +604,13 @@ impl GssSketch {
     }
 
     /// Copies every `⟨H(v), v⟩` registration of `other` into this sketch's id table.
-    pub(crate) fn absorb_node_map(&mut self, other: &GssSketch) {
+    pub(crate) fn absorb_node_map(&mut self, other: &GssSketch) -> Result<(), StoreFault> {
         for (hash, vertices) in other.node_map.iter() {
             for &vertex in vertices {
-                self.register_node(hash, vertex);
+                self.register_node(hash, vertex)?;
             }
         }
+        Ok(())
     }
 
     /// Read access to the `⟨H(v), v⟩` table (used by persistence).
@@ -654,14 +626,15 @@ impl GssSketch {
         column: usize,
         slot: usize,
         room: crate::matrix::Room,
-    ) {
-        self.matrix.store_room(row, column, slot, room);
+    ) -> Result<(), StoreFault> {
+        self.matrix.store_room(row, column, slot, room)
     }
 
-    /// Overrides the inserted-items counter (used by persistence).
-    pub(crate) fn set_items_inserted(&mut self, items: u64) {
+    /// Overrides the inserted-items counter and commits it to the write-ahead log (used
+    /// by persistence and merging).
+    pub(crate) fn set_items_inserted(&mut self, items: u64) -> Result<(), StoreFault> {
         self.items_inserted = items;
-        self.commit_wal();
+        self.commit_wal()
     }
 
     /// Shared insert path over hashed endpoints: probe the candidate buckets in order and
@@ -674,21 +647,10 @@ impl GssSketch {
         source_node: HashedNode,
         destination_node: HashedNode,
         weight: Weight,
-    ) {
-        self.try_insert_nodes(source_node, destination_node, weight)
-            .unwrap_or_else(|fault| panic!("sketch write failed: {fault}"));
-    }
-
-    /// Fallible [`insert_nodes`](Self::insert_nodes): the typed fail-stop path.
-    fn try_insert_nodes(
-        &mut self,
-        source_node: HashedNode,
-        destination_node: HashedNode,
-        weight: Weight,
     ) -> Result<(), StoreFault> {
         let mut candidates = [Candidate::default(); MAX_CANDIDATES];
         let count = self.collect_candidates(source_node, destination_node, &mut candidates);
-        self.try_place_edge(source_node, destination_node, &candidates[..count], weight)
+        self.place_edge(source_node, destination_node, &candidates[..count], weight)
     }
 
     /// Walks `candidates` in probe order and places the edge: add to a matching room, claim
@@ -696,7 +658,7 @@ impl GssSketch {
     /// ([`RoomStore::probe_bucket`]) that answers match/first-empty/full together,
     /// replacing the former `find_match`-then-`find_empty` double scan — half the bucket
     /// reads per candidate, and half the page-cache lookups on the file backend.
-    fn try_place_edge(
+    fn place_edge(
         &mut self,
         source_node: HashedNode,
         destination_node: HashedNode,
@@ -704,7 +666,7 @@ impl GssSketch {
         weight: Weight,
     ) -> Result<(), StoreFault> {
         for candidate in candidates {
-            match self.matrix.try_probe_bucket(
+            match self.matrix.probe_bucket(
                 candidate.row,
                 candidate.column,
                 source_node.fingerprint,
@@ -713,15 +675,10 @@ impl GssSketch {
                 candidate.destination_index,
             )? {
                 BucketProbe::Match(slot) => {
-                    return self.matrix.try_add_weight(
-                        candidate.row,
-                        candidate.column,
-                        slot,
-                        weight,
-                    );
+                    return self.matrix.add_weight(candidate.row, candidate.column, slot, weight);
                 }
                 BucketProbe::Empty(slot) => {
-                    return self.matrix.try_store_room(
+                    return self.matrix.store_room(
                         candidate.row,
                         candidate.column,
                         slot,
@@ -741,14 +698,14 @@ impl GssSketch {
         self.buffer.insert(source_node.hash, destination_node.hash, weight);
         self.buffer_gen += 1;
         if let RoomStorage::File(store) = &self.matrix {
-            store.try_log_buffer_insert(source_node.hash, destination_node.hash, weight)?;
+            store.log_buffer_insert(source_node.hash, destination_node.hash, weight)?;
         }
         Ok(())
     }
 
     /// Hashes `vertex` once per batch: returns the index of its cache entry, creating it
     /// (and registering the `⟨H(v), v⟩` pair) on first sight.
-    fn try_batch_endpoint(
+    fn batch_endpoint(
         &mut self,
         vertex: VertexId,
         index: &mut HashMap<VertexId, u32>,
@@ -759,7 +716,7 @@ impl GssSketch {
         }
         let node = self.hasher.hashed_node(vertex);
         if self.config.track_node_ids {
-            self.try_register_node(node.hash, vertex)?;
+            self.register_node(node.hash, vertex)?;
         }
         let mut addresses = [0usize; crate::config::MAX_SEQUENCE_LENGTH];
         if self.config.square_hashing {
@@ -835,18 +792,14 @@ impl Drop for GssSketch {
 }
 
 /// The staged halves of the write path: every mutation except the commit frame.  The
-/// [`SummaryWrite`] impl stages and commits in one call; the sharded two-phase batch
-/// path stages every shard first and acknowledges second (see
-/// `commit_wal_deferred`).
+/// fallible entry points ([`try_insert`](GssSketch::try_insert),
+/// [`try_insert_batch`](GssSketch::try_insert_batch)) stage and commit in one call; the
+/// sharded two-phase batch path stages every shard first and acknowledges second (see
+/// `commit_wal_deferred`).  On a fault the store is already poisoned and the item or
+/// batch may be partially applied — the caller must not acknowledge it.
 impl GssSketch {
-    /// [`SummaryWrite::insert`] without the commit frame.
-    fn insert_staged(&mut self, source: VertexId, destination: VertexId, weight: Weight) {
-        self.try_insert_staged(source, destination, weight)
-            .unwrap_or_else(|fault| panic!("sketch write failed: {fault}"));
-    }
-
-    /// Fallible [`insert_staged`](Self::insert_staged): the typed fail-stop path.
-    fn try_insert_staged(
+    /// [`try_insert`](Self::try_insert) without the commit frame.
+    fn insert_staged(
         &mut self,
         source: VertexId,
         destination: VertexId,
@@ -856,12 +809,15 @@ impl GssSketch {
         let source_node = self.hasher.hashed_node(source);
         let destination_node = self.hasher.hashed_node(destination);
         if self.config.track_node_ids {
-            self.try_register_node(source_node.hash, source)?;
-            self.try_register_node(destination_node.hash, destination)?;
+            self.register_node(source_node.hash, source)?;
+            self.register_node(destination_node.hash, destination)?;
         }
-        self.try_insert_nodes(source_node, destination_node, weight)
+        self.insert_nodes(source_node, destination_node, weight)
     }
 
+    /// [`try_insert_batch`](Self::try_insert_batch) without the commit frame; returns
+    /// whether a commit is owed (`false` only for an empty batch, which mutates nothing).
+    ///
     /// Batched edge updating, observationally identical to per-item [`insert`] but with the
     /// per-item work amortised across the batch:
     ///
@@ -874,22 +830,12 @@ impl GssSketch {
     ///   and later items only add weight, the resulting matrix/buffer state is exactly the
     ///   state the per-item path produces.
     ///
-    /// [`insert`]: SummaryWrite::insert
-    /// [`SummaryWrite::insert_batch`] without the commit frame; returns whether a commit
-    /// is owed (`false` only for an empty batch, which mutates nothing).
-    fn insert_batch_staged(&mut self, items: &[StreamEdge]) -> bool {
-        self.try_insert_batch_staged(items)
-            .unwrap_or_else(|fault| panic!("sketch write failed: {fault}"))
-    }
-
-    /// Fallible [`insert_batch_staged`](Self::insert_batch_staged): on a fault the store
-    /// is already poisoned and the batch may be partially applied — the caller must not
-    /// acknowledge it.
-    fn try_insert_batch_staged(&mut self, items: &[StreamEdge]) -> Result<bool, StoreFault> {
+    /// [`insert`]: GssSketch::try_insert
+    fn insert_batch_staged(&mut self, items: &[StreamEdge]) -> Result<bool, StoreFault> {
         if items.len() < 2 {
             match items.first() {
                 Some(item) => {
-                    self.try_insert_staged(item.source, item.destination, item.weight)?;
+                    self.insert_staged(item.source, item.destination, item.weight)?;
                 }
                 None => return Ok(false),
             }
@@ -905,10 +851,9 @@ impl GssSketch {
         let mut edge_index: HashMap<(VertexId, VertexId), u32> =
             HashMap::with_capacity(items.len().min(4096));
         for item in items {
-            let source =
-                self.try_batch_endpoint(item.source, &mut endpoint_index, &mut endpoints)?;
+            let source = self.batch_endpoint(item.source, &mut endpoint_index, &mut endpoints)?;
             let destination =
-                self.try_batch_endpoint(item.destination, &mut endpoint_index, &mut endpoints)?;
+                self.batch_endpoint(item.destination, &mut endpoint_index, &mut endpoints)?;
             match edge_index.entry((item.source, item.destination)) {
                 std::collections::hash_map::Entry::Occupied(slot) => {
                     folded[*slot.get() as usize].2 += item.weight;
@@ -965,43 +910,32 @@ impl GssSketch {
                 &destination.addresses,
                 &mut candidates,
             );
-            self.try_place_edge(source.node, destination.node, &candidates[..count], weight)?;
+            self.place_edge(source.node, destination.node, &candidates[..count], weight)?;
         }
         Ok(true)
     }
 
-    /// [`SummaryWrite::insert_batch`] with the commit deferred: stages the batch, appends
-    /// the commit frame, and returns the acknowledgement token for
-    /// [`ack_wal`](Self::ack_wal) — `None` when nothing is owed (empty batch, in-memory
-    /// sketch, or an inline automatic checkpoint already made the commit durable).
+    /// [`try_insert_batch`](Self::try_insert_batch) with the commit deferred — the
+    /// staging half of the sharded two-phase commit: stages the batch, appends the
+    /// commit frame, and returns the acknowledgement token for a
+    /// [`WalAckHandle`](crate::file_store::WalAckHandle) — `None` when nothing is owed
+    /// (empty batch, in-memory sketch, or an inline automatic checkpoint already made the
+    /// commit durable).
     pub(crate) fn insert_batch_deferred(
         &mut self,
         items: &[StreamEdge],
-    ) -> Option<crate::file_store::WalAck> {
-        if self.insert_batch_staged(items) {
-            self.commit_wal_deferred()
-        } else {
-            None
-        }
-    }
-
-    /// Fallible [`insert_batch_deferred`](Self::insert_batch_deferred): the typed
-    /// fail-stop path of the sharded two-phase commit.
-    pub(crate) fn try_insert_batch_deferred(
-        &mut self,
-        items: &[StreamEdge],
     ) -> Result<Option<crate::file_store::WalAck>, StoreFault> {
-        if self.try_insert_batch_staged(items)? {
-            self.try_commit_wal_deferred()
+        if self.insert_batch_staged(items)? {
+            self.commit_wal_deferred()
         } else {
             Ok(None)
         }
     }
 
-    /// [`insert`](SummaryWrite::insert) with typed fail-stop errors instead of the
-    /// infallible trait's storage-contract panics: on a poisoned store (or the write
-    /// that first poisons it) the sticky [`GssError::StoreFailed`] comes back, reads
-    /// keep working, and [`durability_report`](Self::durability_report) quantifies any
+    /// Inserts one stream item — the only implementation of edge updating; the
+    /// [`SummaryWrite`] impl unwraps it.  On a poisoned store (or the write that first
+    /// poisons it) the sticky [`GssError::StoreFailed`] comes back, reads keep working,
+    /// and [`durability_report`](Self::durability_report) quantifies any
     /// acknowledged-but-possibly-lost items.  In-memory sketches never fail.
     pub fn try_insert(
         &mut self,
@@ -1009,18 +943,18 @@ impl GssSketch {
         destination: VertexId,
         weight: Weight,
     ) -> Result<(), GssError> {
-        self.try_insert_staged(source, destination, weight)?;
-        self.try_commit_wal()?;
+        self.insert_staged(source, destination, weight)?;
+        self.commit_wal()?;
         Ok(())
     }
 
-    /// [`insert_batch`](SummaryWrite::insert_batch) with typed fail-stop errors (see
-    /// [`try_insert`](Self::try_insert)).  On an error the batch may be partially
-    /// applied and is **not** acknowledged; the store rejects all further writes with
-    /// the same sticky cause.
+    /// Batched edge updating with typed fail-stop errors (see
+    /// [`try_insert`](Self::try_insert)); [`SummaryWrite::insert_batch`] unwraps it.  On
+    /// an error the batch may be partially applied and is **not** acknowledged; the store
+    /// rejects all further writes with the same sticky cause.
     pub fn try_insert_batch(&mut self, items: &[StreamEdge]) -> Result<(), GssError> {
-        if self.try_insert_batch_staged(items)? {
-            self.try_commit_wal()?;
+        if self.insert_batch_staged(items)? {
+            self.commit_wal()?;
         }
         Ok(())
     }
@@ -1039,16 +973,15 @@ impl GssSketch {
     }
 }
 
+/// The infallible entry points: each unwraps its fallible twin at the one panic boundary
+/// (`expect_written`), so a store fault panics with the store's sticky cause.
 impl SummaryWrite for GssSketch {
     fn insert(&mut self, source: VertexId, destination: VertexId, weight: Weight) {
-        self.insert_staged(source, destination, weight);
-        self.commit_wal();
+        expect_written(self.try_insert(source, destination, weight));
     }
 
     fn insert_batch(&mut self, items: &[StreamEdge]) {
-        if self.insert_batch_staged(items) {
-            self.commit_wal();
-        }
+        expect_written(self.try_insert_batch(items));
     }
 
     /// Streams through [`insert_batch`](SummaryWrite::insert_batch) in fixed-size chunks so

@@ -23,6 +23,7 @@
 //! matrix, sketch files and snapshots without translation.
 
 use crate::config::GssConfig;
+use crate::error::StoreFault;
 use crate::file_store::FileStore;
 use crate::matrix::{MemoryStore, Room};
 use crate::persistence::PersistenceError;
@@ -401,6 +402,12 @@ impl StorageBackend {
 /// store-wide lock.  Mutation stays `&mut self`, so a store has at most one writer at a
 /// time; concurrent ingest scales by sharding (`ShardedGss`), one store per shard, with
 /// readers fanning out across all shards.
+///
+/// **Failure contract**: the write path — [`probe_bucket`](Self::probe_bucket),
+/// [`add_weight`](Self::add_weight) and [`store_room`](Self::store_room) — is fallible.
+/// A failing backend poisons itself and returns its sticky [`StoreFault`] from then on;
+/// the in-memory backend always returns `Ok`.  Reads and scans stay infallible: the
+/// file backend panics on a read I/O failure, after poisoning the store.
 pub trait RoomStore {
     /// Side length `m`.
     fn width(&self) -> usize;
@@ -429,7 +436,8 @@ pub trait RoomStore {
     /// fingerprint/index quadruple, else the first empty slot, else
     /// [`BucketProbe::Full`] — observationally identical to [`find_match`] followed by
     /// [`find_empty`], in one pass over the bucket (half the bucket reads, and half the
-    /// page-cache lookups on the file backend).
+    /// page-cache lookups on the file backend).  Fallible like the writes it opens: on
+    /// the file backend a cache miss may have to evict a dirty page.
     ///
     /// [`find_match`]: RoomStore::find_match
     /// [`find_empty`]: RoomStore::find_empty
@@ -441,28 +449,23 @@ pub trait RoomStore {
         destination_fingerprint: u16,
         source_index: u8,
         destination_index: u8,
-    ) -> BucketProbe {
-        let mut first_empty = None;
-        for slot in 0..self.rooms_per_bucket() {
-            let room = self.room(row, column, slot);
-            if room.matches(
-                source_fingerprint,
-                destination_fingerprint,
-                source_index,
-                destination_index,
-            ) {
-                return BucketProbe::Match(slot);
-            }
-            if !room.occupied && first_empty.is_none() {
-                first_empty = Some(slot);
-            }
-        }
-        first_empty.map_or(BucketProbe::Full, BucketProbe::Empty)
-    }
+    ) -> Result<BucketProbe, StoreFault>;
     /// Adds `weight` to the (occupied) room at `slot` of bucket `(row, column)`.
-    fn add_weight(&mut self, row: usize, column: usize, slot: usize, weight: i64);
+    fn add_weight(
+        &mut self,
+        row: usize,
+        column: usize,
+        slot: usize,
+        weight: i64,
+    ) -> Result<(), StoreFault>;
     /// Writes a fresh edge into the (empty) room at `slot` of bucket `(row, column)`.
-    fn store_room(&mut self, row: usize, column: usize, slot: usize, room: Room);
+    fn store_room(
+        &mut self,
+        row: usize,
+        column: usize,
+        slot: usize,
+        room: Room,
+    ) -> Result<(), StoreFault>;
     /// Visits every occupied room of matrix row `row` as `(column, room)`.
     fn scan_row(&self, row: usize, visit: &mut dyn FnMut(usize, Room));
     /// Visits every occupied room of each listed matrix column as `(position, row, room)`,
@@ -532,76 +535,6 @@ pub enum RoomStorage {
 }
 
 impl RoomStorage {
-    /// Fallible [`RoomStore::add_weight`]: the in-memory backend cannot fail, the file
-    /// backend health-gates the write and returns the sticky
-    /// [`StoreFault`](crate::error::StoreFault) instead of panicking — the typed
-    /// fail-stop path ([`GssSketch::try_insert`](crate::GssSketch::try_insert)) runs
-    /// through this.
-    pub fn try_add_weight(
-        &mut self,
-        row: usize,
-        column: usize,
-        slot: usize,
-        weight: i64,
-    ) -> Result<(), crate::error::StoreFault> {
-        match self {
-            Self::Memory(store) => {
-                store.add_weight(row, column, slot, weight);
-                Ok(())
-            }
-            Self::File(store) => store.try_add_weight(row, column, slot, weight),
-        }
-    }
-
-    /// Fallible [`RoomStore::probe_bucket`] (see [`try_add_weight`](Self::try_add_weight)):
-    /// on the file backend a probe's cache miss may have to evict a dirty page, so even
-    /// this read-side step can trip over a latched write-back fault.
-    pub fn try_probe_bucket(
-        &self,
-        row: usize,
-        column: usize,
-        source_fingerprint: u16,
-        destination_fingerprint: u16,
-        source_index: u8,
-        destination_index: u8,
-    ) -> Result<BucketProbe, crate::error::StoreFault> {
-        match self {
-            Self::Memory(store) => Ok(store.probe_bucket(
-                row,
-                column,
-                source_fingerprint,
-                destination_fingerprint,
-                source_index,
-                destination_index,
-            )),
-            Self::File(store) => store.try_probe_bucket(
-                row,
-                column,
-                source_fingerprint,
-                destination_fingerprint,
-                source_index,
-                destination_index,
-            ),
-        }
-    }
-
-    /// Fallible [`RoomStore::store_room`] (see [`try_add_weight`](Self::try_add_weight)).
-    pub fn try_store_room(
-        &mut self,
-        row: usize,
-        column: usize,
-        slot: usize,
-        room: Room,
-    ) -> Result<(), crate::error::StoreFault> {
-        match self {
-            Self::Memory(store) => {
-                store.store_room(row, column, slot, room);
-                Ok(())
-            }
-            Self::File(store) => store.try_store_room(row, column, slot, room),
-        }
-    }
-
     /// Which backend this is, for stats and display.
     pub fn backend_name(&self) -> &'static str {
         match self {
@@ -650,7 +583,7 @@ impl Clone for RoomStorage {
             Self::File(store) => {
                 let mut memory = MemoryStore::new(store.width(), store.rooms_per_bucket());
                 store.scan_occupied(&mut |row, column, room| {
-                    memory.store_room(row, column, memory_slot_for(&memory, row, column), room);
+                    memory.store(row, column, memory_slot_for(&memory, row, column), room);
                 });
                 Self::Memory(memory)
             }
@@ -725,7 +658,7 @@ impl RoomStore for RoomStorage {
         destination_fingerprint: u16,
         source_index: u8,
         destination_index: u8,
-    ) -> BucketProbe {
+    ) -> Result<BucketProbe, StoreFault> {
         dispatch!(self, store => store.probe_bucket(
             row,
             column,
@@ -736,11 +669,23 @@ impl RoomStore for RoomStorage {
         ))
     }
 
-    fn add_weight(&mut self, row: usize, column: usize, slot: usize, weight: i64) {
+    fn add_weight(
+        &mut self,
+        row: usize,
+        column: usize,
+        slot: usize,
+        weight: i64,
+    ) -> Result<(), StoreFault> {
         dispatch!(self, store => store.add_weight(row, column, slot, weight))
     }
 
-    fn store_room(&mut self, row: usize, column: usize, slot: usize, room: Room) {
+    fn store_room(
+        &mut self,
+        row: usize,
+        column: usize,
+        slot: usize,
+        room: Room,
+    ) -> Result<(), StoreFault> {
         dispatch!(self, store => store.store_room(row, column, slot, room))
     }
 
@@ -903,23 +848,26 @@ mod tests {
     fn probe_bucket_fuses_find_match_and_find_empty() {
         let mut storage = RoomStorage::Memory(MemoryStore::new(4, 2));
         // Empty bucket: first empty slot.
-        assert_eq!(storage.probe_bucket(1, 2, 1, 2, 3, 4), BucketProbe::Empty(0));
-        storage.store_room(1, 2, 0, sample_room());
+        assert_eq!(storage.probe_bucket(1, 2, 1, 2, 3, 4).unwrap(), BucketProbe::Empty(0));
+        storage.store_room(1, 2, 0, sample_room()).unwrap();
         // Match wins over the remaining empty slot.
-        assert_eq!(storage.probe_bucket(1, 2, 0xA1B2, 0x0304, 7, 11), BucketProbe::Match(0));
+        assert_eq!(
+            storage.probe_bucket(1, 2, 0xA1B2, 0x0304, 7, 11).unwrap(),
+            BucketProbe::Match(0)
+        );
         // Miss falls through to the empty slot.
-        assert_eq!(storage.probe_bucket(1, 2, 1, 2, 3, 4), BucketProbe::Empty(1));
-        storage.store_room(1, 2, 1, Room { source_fingerprint: 9, ..sample_room() });
-        assert_eq!(storage.probe_bucket(1, 2, 9, 0x0304, 7, 11), BucketProbe::Match(1));
-        assert_eq!(storage.probe_bucket(1, 2, 1, 2, 3, 4), BucketProbe::Full);
+        assert_eq!(storage.probe_bucket(1, 2, 1, 2, 3, 4).unwrap(), BucketProbe::Empty(1));
+        storage.store_room(1, 2, 1, Room { source_fingerprint: 9, ..sample_room() }).unwrap();
+        assert_eq!(storage.probe_bucket(1, 2, 9, 0x0304, 7, 11).unwrap(), BucketProbe::Match(1));
+        assert_eq!(storage.probe_bucket(1, 2, 1, 2, 3, 4).unwrap(), BucketProbe::Full);
     }
 
     #[test]
     fn naive_scans_visit_what_indexed_scans_visit() {
         let mut store = MemoryStore::new(5, 2);
-        store.store_room(2, 0, 0, sample_room());
-        store.store_room(2, 4, 0, sample_room());
-        store.store_room(0, 4, 0, sample_room());
+        store.store_room(2, 0, 0, sample_room()).unwrap();
+        store.store_room(2, 4, 0, sample_room()).unwrap();
+        store.store_room(0, 4, 0, sample_room()).unwrap();
         let mut indexed = Vec::new();
         store.scan_row(2, &mut |column, _| indexed.push(column));
         let mut naive = Vec::new();
@@ -940,13 +888,13 @@ mod tests {
         assert_eq!(storage.backend_name(), "memory");
         assert_eq!(storage.width(), 4);
         assert_eq!(storage.room_count(), 32);
-        storage.store_room(1, 2, 0, sample_room());
+        storage.store_room(1, 2, 0, sample_room()).unwrap();
         assert_eq!(storage.occupied_rooms(), 1);
         let got = storage.room(1, 2, 0);
         assert_eq!(got, sample_room());
         assert_eq!(storage.find_match(1, 2, 0xA1B2, 0x0304, 7, 11), Some(0));
         assert_eq!(storage.find_empty(1, 2), Some(1));
-        storage.add_weight(1, 2, 0, 10);
+        storage.add_weight(1, 2, 0, 10).unwrap();
         assert_eq!(storage.room(1, 2, 0).weight, -123_456_779);
         let mut seen = Vec::new();
         storage.scan_occupied(&mut |r, c, room| seen.push((r, c, room.weight)));

@@ -19,7 +19,8 @@
 use gss::prelude::*;
 use gss_core::wal::wal_path;
 use gss_core::{
-    install_fault_plan, DurabilityReport, FaultKind, FaultOp, FaultPlan, FaultSite, GssError,
+    install_fault_plan, Durability, DurabilityReport, FaultGuard, FaultKind, FaultOp, FaultPlan,
+    FaultSite, GroupCommit, GssError, PersistenceError,
 };
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -295,4 +296,141 @@ fn poisoning_is_scoped_to_the_faulted_store() {
     drop(guard);
     cleanup(&faulted_path);
     cleanup(&healthy_path);
+}
+
+/// Restoring a snapshot onto a file backend under a write fault at any occurrence
+/// either succeeds or reports `PersistenceError::Io` — never a panic, and never
+/// another error class (the snapshot's configuration was already validated).
+#[test]
+fn snapshot_restore_onto_a_file_reports_write_faults_as_io_errors() {
+    let mut source = GssSketch::new(GssConfig::paper_small(64)).unwrap();
+    let mut state = 11u64;
+    for _ in 0..4000 {
+        let (source_vertex, destination, weight) = edge(&mut state);
+        source.insert(source_vertex, destination, weight);
+    }
+    let snapshot = source.to_snapshot();
+    let mut io_errors = 0;
+    for at in 1..=40u64 {
+        let (path, token) = unique_path("restore");
+        let plan = FaultPlan::parse(&format!("write:eio@{at}")).unwrap().with_path_token(token);
+        let guard = install_fault_plan(plan);
+        let backend = StorageBackend::File { path: path.clone(), cache_pages: 1 };
+        let outcome = std::panic::catch_unwind(|| {
+            GssSketch::read_snapshot_into(snapshot.as_slice(), backend).map(GssSketch::abandon)
+        });
+        drop(guard);
+        cleanup(&path);
+        match outcome {
+            Ok(Ok(())) => {}
+            Ok(Err(PersistenceError::Io(_))) => io_errors += 1,
+            Ok(Err(other)) => {
+                panic!("write:eio@{at}: expected PersistenceError::Io, got {other:?}")
+            }
+            Err(_) => panic!("write:eio@{at}: snapshot restore panicked"),
+        }
+    }
+    assert!(io_errors > 0, "the sweep must reach the restore's writes");
+}
+
+/// A 2-shard file-backed store whose shard-0 write-ahead log fails on its first drain
+/// (occurrence 1 is the log magic written at create), plus the base path to reopen.
+fn sharded_with_failing_shard0(tag: &str) -> (ShardedGss, PathBuf, FaultGuard) {
+    let (base, token) = unique_path(tag);
+    let guard = install_fault_plan(
+        FaultPlan::parse("write:eio@2").unwrap().with_path_token(format!("{token}.gss.shard0.wal")),
+    );
+    let backend = StorageBackend::File { path: base.clone(), cache_pages: 4 };
+    let store = ShardedGss::with_storage(fault_config(), 2, &backend)
+        .expect("creation survives (occurrence 1 is the WAL magic)");
+    (store, base, guard)
+}
+
+fn cleanup_sharded(base: &Path) {
+    for shard in 0..2 {
+        cleanup(&PathBuf::from(format!("{}.shard{shard}", base.display())));
+    }
+}
+
+/// A batch spanning both shards of a 2-shard store, each item tagged with its shard.
+fn two_shard_batch() -> Vec<(StreamEdge, usize)> {
+    // An in-memory twin routes exactly like the file-backed store: routing depends only
+    // on the source vertex and the shard count.
+    let router = ShardedGss::new(fault_config(), 2).unwrap();
+    let mut state = 5u64;
+    (0..64)
+        .map(|_| {
+            let (source, destination, weight) = edge(&mut state);
+            let before = router.with_shard_read(1, GssSketch::items_inserted);
+            router.insert(source, destination, weight);
+            let shard = usize::from(router.with_shard_read(1, GssSketch::items_inserted) > before);
+            (StreamEdge::new(source, destination, 0, weight), shard)
+        })
+        .collect()
+}
+
+/// `ShardedGss::try_insert_batch` fails one shard without the other: the faulted
+/// shard poisons and the call returns its typed fault, the report stays coherent, and
+/// the healthy shard's sub-batch is acknowledged and survives a crash.
+#[test]
+fn a_shard_fault_fails_the_batch_and_spares_the_other_shards_sub_batch() {
+    let (store, base, guard) = sharded_with_failing_shard0("sharded");
+    let tagged = two_shard_batch();
+    assert!(
+        tagged.iter().any(|&(_, shard)| shard == 0) && tagged.iter().any(|&(_, shard)| shard == 1)
+    );
+    let batch: Vec<StreamEdge> = tagged.iter().map(|&(item, _)| item).collect();
+
+    match store.try_insert_batch(&batch) {
+        Err(GssError::StoreFailed(_)) => {}
+        other => panic!("expected StoreFailed from the faulted shard, got {other:?}"),
+    }
+    assert!(store.is_poisoned());
+    assert!(store.with_shard_read(0, GssSketch::is_poisoned));
+    assert!(!store.with_shard_read(1, GssSketch::is_poisoned), "the fault stays in shard 0");
+    let report = store.durability_report();
+    assert!(report.poisoned);
+    assert!(report.durable_items <= report.acked_items, "durable is a prefix of acked");
+    assert_eq!(report.breached_items, report.acked_items - report.durable_items);
+    let shard1_items = tagged.iter().filter(|&&(_, shard)| shard == 1).count() as u64;
+    assert_eq!(store.with_shard_read(1, GssSketch::items_inserted), shard1_items);
+
+    // Crash, clear the fault, reopen: shard 1 recovers its whole sub-batch.
+    store.abandon().expect("sole handle");
+    drop(guard);
+    let reopened =
+        ShardedGss::open_sharded(&base, 2, 4, Durability::Strict, GroupCommit::default())
+            .expect("both shards reopen once the fault clears");
+    assert_eq!(reopened.with_shard_read(1, GssSketch::items_inserted), shard1_items);
+    let mut expected = std::collections::HashMap::new();
+    for (item, _) in tagged.iter().filter(|&&(_, shard)| shard == 1) {
+        *expected.entry((item.source, item.destination)).or_insert(0) += item.weight;
+    }
+    for ((source, destination), weight) in expected {
+        let stored = reopened.edge_weight(source, destination).unwrap_or(0);
+        assert!(stored >= weight, "acked shard-1 item ({source}, {destination}) lost");
+    }
+    drop(reopened);
+    cleanup_sharded(&base);
+}
+
+/// The infallible `insert_batch` is the fallible path unwrapped at one panic boundary:
+/// on a poisoned store it panics with the store's sticky cause.
+#[test]
+#[should_panic(expected = "sketch write failed: store failed")]
+fn insert_batch_on_a_poisoned_sharded_store_panics_with_the_sticky_cause() {
+    let (store, base, guard) = sharded_with_failing_shard0("sharded-panic");
+    let batch: Vec<StreamEdge> = two_shard_batch().into_iter().map(|(item, _)| item).collect();
+    assert!(store.try_insert_batch(&batch).is_err());
+    let cause = store.durability_report().cause.expect("poisoned store names its cause");
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        store.insert_batch(&batch);
+    }))
+    .expect_err("insert_batch on a poisoned store must panic");
+    let message = payload.downcast_ref::<String>().cloned().unwrap_or_default();
+    store.abandon().expect("sole handle");
+    drop(guard);
+    cleanup_sharded(&base);
+    assert!(message.contains(&cause.to_string()), "panic {message:?} lacks cause {cause}");
+    std::panic::resume_unwind(payload);
 }
